@@ -46,11 +46,9 @@ from .wrapping import (
 )
 from .heat import (
     ComplexGroup,
-    KernelSpec,
     auto_kernel,
     bend_complex,
     complexify,
-    evaluate_kernel,
     flat_heat_kernel,
     heat_coefficients,
     j_complex,
@@ -65,7 +63,6 @@ from .brownian import (
     SdeConfig,
     WrapBmReport,
     conjugacy_coordinate,
-    empirical_density_check,
     empirical_density_table,
     feynman_kac_weight,
     mc_expect_central,

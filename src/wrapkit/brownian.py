@@ -8,6 +8,12 @@ metric this scheme needs no drift correction and converges weakly at first
 order to the process generated by half the group Laplacian (the plain heat
 semigroup).
 
+Each factor kind has one engine.  so3 has none of its own: SO(3) is SU(2)
+divided by its centre, so so3 paths are simulated on SU(2) and mapped
+through the covering map U -> Ad U.  They draw the same seeded increments
+as before, but so3 Monte Carlo reports may differ from wrapkit 0.1.0 in
+the last digits.
+
 Determinism contract: every estimator splits its paths into fixed-size
 chunks; chunk k uses an independent Philox stream keyed by (seed, tag, k),
 and per-chunk partial results are reduced in chunk order.  Worker-thread
@@ -30,7 +36,7 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .groups import GroupSpec, TWO_PI, weyl_density
+from .groups import GroupSpec, TWO_PI, make_group, weyl_density
 from .heat import heat_coefficients
 from .wrapping import CentralFunction
 
@@ -152,23 +158,12 @@ def _reduce_moments(parts, seed: int) -> McEstimate:
 # ---------------------------------------------------------------------------
 # matrix realizations, one engine per factor kind
 # ---------------------------------------------------------------------------
-
-def _factor_kinds(g: GroupSpec) -> list[tuple[str, int]]:
-    """(kind, algebra_dim) per simulated factor."""
-    out = []
-    for name in g.factor_names:
-        if name == "su2":
-            out.append(("su2", 3))
-        elif name == "so3":
-            out.append(("so3", 3))
-        elif name == "su3":
-            out.append(("su3", 8))
-        elif name.startswith("torus"):
-            out.append(("torus", int(name[5:])))
-        else:
-            raise DomainError(f"no matrix realization for factor {name}")
-    return out
-
+#
+# An engine holds count paths on one factor (its own GroupSpec, so the
+# algebra dimension is factor.dim).  Besides the path state it owns the
+# factor's matrix block size, the fold from such a block to alcove
+# coordinates and the projection of algebra points; an engine built with
+# count=0 serves those static facts alone.
 
 @lru_cache(maxsize=1)
 def _gell_mann() -> np.ndarray:
@@ -189,23 +184,55 @@ def _gell_mann() -> np.ndarray:
     return L
 
 
-def _sinc(s: np.ndarray) -> np.ndarray:
-    small = s < 1e-6
-    safe = np.where(small, 1.0, s)
-    return np.where(small, 1.0 - s * s / 6.0, np.sin(safe) / safe)
+class _TorusEngine:
+    """A torus factor: the state is the angle vector, the block diagonal."""
+
+    def __init__(self, factor: GroupSpec, count: int):
+        self.factor = factor
+        self.block = factor.rank
+        self.x = np.zeros((count, factor.rank))
+
+    def step(self, z: np.ndarray, sqh: float) -> None:
+        self.x = self.x + sqh * z
+
+    def drift(self) -> float:
+        return 0.0
+
+    def renormalize(self) -> None:
+        pass
+
+    def alcove_coords(self) -> np.ndarray:
+        return self.x - TWO_PI * np.round(self.x / TWO_PI)
+
+    def matrices(self) -> np.ndarray:
+        m = np.zeros((len(self.x), self.block, self.block), dtype=complex)
+        idx = np.arange(self.block)
+        m[:, idx, idx] = np.exp(1j * self.x)
+        return m
+
+    def fold(self, m: np.ndarray) -> np.ndarray:
+        return np.angle(np.diagonal(m, axis1=1, axis2=2))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        return z
 
 
-class _Su2State:
+class _Su2Engine:
     """SU(2) elements as (a, b) with matrix [[a, b], [-conj b, conj a]]."""
 
-    def __init__(self, count: int):
+    block = 2
+
+    def __init__(self, factor: GroupSpec, count: int):
+        self.factor = factor
         self.a = np.ones(count, dtype=complex)
         self.b = np.zeros(count, dtype=complex)
 
     def step(self, z: np.ndarray, sqh: float) -> None:
         c = 0.5 * sqh * z
         s = np.linalg.norm(c, axis=1)
-        q = c * _sinc(s)[:, None]
+        small = s < 1e-6
+        safe = np.where(small, 1.0, s)
+        q = c * np.where(small, 1.0 - s * s / 6.0, np.sin(safe) / safe)[:, None]
         ua = np.cos(s) - 1j * q[:, 2]
         ub = -q[:, 1] - 1j * q[:, 0]
         a, b = self.a, self.b
@@ -232,44 +259,46 @@ class _Su2State:
         m[:, 1, 1] = np.conj(self.a)
         return m
 
+    def fold(self, m: np.ndarray) -> np.ndarray:
+        tr = np.einsum("cii->c", m).real
+        return 2.0 * np.arccos(np.clip(tr / 2.0, -1.0, 1.0))[:, None]
 
-class _So3State:
-    def __init__(self, count: int):
-        self.m = np.broadcast_to(np.eye(3), (count, 3, 3)).copy()
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """Rank one: the torus coordinate is the algebra norm."""
+        return np.linalg.norm(z, axis=1)[:, None]
 
-    def step(self, z: np.ndarray, sqh: float) -> None:
-        w = sqh * z
-        phi = np.linalg.norm(w, axis=1)
-        K = np.zeros((len(w), 3, 3))
-        K[:, 0, 1] = -w[:, 2]
-        K[:, 0, 2] = w[:, 1]
-        K[:, 1, 0] = w[:, 2]
-        K[:, 1, 2] = -w[:, 0]
-        K[:, 2, 0] = -w[:, 1]
-        K[:, 2, 1] = w[:, 0]
-        s1 = _sinc(phi)[:, None, None]
-        c2 = (0.5 * _sinc(phi / 2) ** 2)[:, None, None]
-        rot = np.eye(3)[None] + s1 * K + c2 * (K @ K)
-        self.m = self.m @ rot
 
-    def drift(self) -> float:
-        gram = self.m @ np.transpose(self.m, (0, 2, 1))
-        return float(np.max(np.abs(gram - np.eye(3)[None])))
+class _So3Engine(_Su2Engine):
+    """SO(3) = SU(2)/{+-1}: su2 paths seen through the covering map U -> Ad U.
 
-    def renormalize(self) -> None:
-        u, _, vt = np.linalg.svd(self.m)
-        self.m = u @ vt
+    Ad U rotates by 2 arccos|Re a|, which already lies in the so3 alcove
+    [0, pi]; steps, drift and algebra projection are the su2 ones."""
+
+    block = 3
+    _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
     def alcove_coords(self) -> np.ndarray:
-        tr = np.einsum("cii->c", self.m).real
-        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))[:, None]
+        return 2.0 * np.arccos(np.minimum(np.abs(self.a.real), 1.0))[:, None]
 
     def matrices(self) -> np.ndarray:
-        return self.m
+        """Adjoint rotations R_ij = tr(sigma_i U sigma_j U^dagger) / 2."""
+        u = super().matrices()
+        r = np.einsum("iab,cbd,jde,cae->cij", self._PAULI, u, self._PAULI,
+                      np.conj(u), optimize=True)
+        return r.real / 2.0
+
+    def fold(self, m: np.ndarray) -> np.ndarray:
+        tr = np.einsum("cii->c", m).real
+        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))[:, None]
 
 
-class _Su3State:
-    def __init__(self, count: int):
+class _Su3Engine:
+    """SU(3) elements as 3x3 complex matrices."""
+
+    block = 3
+
+    def __init__(self, factor: GroupSpec, count: int):
+        self.factor = factor
         self.m = np.broadcast_to(np.eye(3, dtype=complex), (count, 3, 3)).copy()
 
     def step(self, z: np.ndarray, sqh: float) -> None:
@@ -288,115 +317,120 @@ class _Su3State:
         self.m = u @ vt
 
     def alcove_coords(self) -> np.ndarray:
-        return _su3_fold(np.linalg.eigvals(self.m))
+        return self.fold(self.m)
 
     def matrices(self) -> np.ndarray:
         return self.m
 
+    def fold(self, m: np.ndarray) -> np.ndarray:
+        """Alcove representative from the eigenvalues of SU(3) matrices.
 
-class _TorusState:
-    def __init__(self, count: int, dim: int):
-        self.x = np.zeros((count, dim))
+        Phases are taken in (-pi, pi], their 2*pi*k total defect is absorbed
+        into single entries, then the affine reduction a_1 - a_3 <= 2*pi is
+        applied (each pass strictly decreases sum a^2, so it terminates).
+        Ambient convention: exp(H) = diag(e^{i a_j}) for H with coordinates
+        a; entries are kept in descending (positive chamber) order."""
+        a = np.angle(np.linalg.eigvals(m))
+        k = np.rint(a.sum(axis=1) / TWO_PI).astype(int)
+        for row in np.flatnonzero(k == 1):
+            a[row, np.argmax(a[row])] -= TWO_PI
+        for row in np.flatnonzero(k == -1):
+            a[row, np.argmin(a[row])] += TWO_PI
+        a = -np.sort(-a, axis=1)
+        for _ in range(8):
+            over = a[:, 0] - a[:, 2] > TWO_PI + 1e-12
+            if not over.any():
+                break
+            a[over, 0] -= TWO_PI
+            a[over, 2] += TWO_PI
+            a[over] = -np.sort(-a[over], axis=1)
+        else:
+            raise InstabilityError(
+                f"{self.factor.name}: alcove reduction did not terminate")
+        return a @ self.factor._coord_map.T
 
-    def step(self, z: np.ndarray, sqh: float) -> None:
-        self.x = self.x + sqh * z
+    def project(self, z: np.ndarray) -> np.ndarray:
+        # Z = sum z_a X_a with X_a = -i lambda_a / 2 is conjugate to
+        # diag(i a) for a = minus the (ascending) eigenvalues of the
+        # Hermitian part, which lands a in descending chamber order.
+        ham = np.einsum("ca,aij->cij", z, _gell_mann()) * 0.5
+        return -np.linalg.eigvalsh(ham) @ self.factor._coord_map.T
 
-    def drift(self) -> float:
-        return 0.0
+
+_ENGINES = {"torus": _TorusEngine, "su2": _Su2Engine, "so3": _So3Engine,
+            "su3": _Su3Engine}
+
+
+def _engines(g: GroupSpec, count: int) -> list:
+    """One engine per factor of g, each holding count paths at the identity."""
+    out = []
+    for name in g.factor_names:
+        kind = name if name in _ENGINES else name.rstrip("0123456789")
+        if kind not in _ENGINES:
+            raise DomainError(f"no matrix realization for factor {name}")
+        out.append(_ENGINES[kind](make_group(name), count))
+    return out
+
+
+class _Chunk:
+    """count paths on g: the factor engines stepped from one increment."""
+
+    def __init__(self, g: GroupSpec, count: int):
+        self.group = g
+        self.engines = _engines(g, count)
+        self.offsets = np.cumsum([0] + [e.factor.dim for e in self.engines])
+
+    def advance(self, z: np.ndarray, sqh: float) -> None:
+        """One geodesic Euler step with algebra increment sqh * z."""
+        for eng, lo, hi in zip(self.engines, self.offsets[:-1], self.offsets[1:]):
+            eng.step(z[:, lo:hi], sqh)
 
     def renormalize(self) -> None:
-        pass
+        """Guard the drift off the group, then project back onto it."""
+        for eng in self.engines:
+            drift = eng.drift()
+            if drift > _DRIFT_TOL:
+                raise InstabilityError(
+                    f"{self.group.name}: drift {drift:.2e} off the group "
+                    f"manifold exceeds {_DRIFT_TOL:g} before renormalization"
+                )
+            eng.renormalize()
 
     def alcove_coords(self) -> np.ndarray:
-        folded = self.x - TWO_PI * np.round(self.x / TWO_PI)
-        return folded
+        """Alcove torus coordinates of the endpoints, shape (count, rank)."""
+        return np.concatenate([e.alcove_coords() for e in self.engines], axis=1)
 
     def matrices(self) -> np.ndarray:
-        n = self.x.shape[1]
-        m = np.zeros((len(self.x), n, n), dtype=complex)
-        idx = np.arange(n)
-        m[:, idx, idx] = np.exp(1j * self.x)
-        return m
+        """Endpoint matrices, block-diagonal over the factors."""
+        mats = [e.matrices() for e in self.engines]
+        size = sum(e.block for e in self.engines)
+        out = np.zeros((len(mats[0]), size, size), dtype=np.result_type(*mats))
+        at = 0
+        for m in mats:
+            k = m.shape[1]
+            out[:, at:at + k, at:at + k] = m
+            at += k
+        return out
 
 
-_ENGINES = {"su2": _Su2State, "so3": _So3State, "su3": _Su3State}
-
-
-def _new_state(kind: str, dim: int, count: int):
-    if kind == "torus":
-        return _TorusState(count, dim)
-    return _ENGINES[kind](count)
-
-
-def _su3_ambient_sorted(a: np.ndarray) -> np.ndarray:
-    """Descending sort of sum-zero triples (positive chamber order)."""
-    return -np.sort(-a, axis=1)
-
-
-def _su3_fold(eigvals: np.ndarray) -> np.ndarray:
-    """Alcove representative from SU(3) eigenvalues.
-
-    Phases are taken in (-pi, pi], their 2*pi*k total defect is absorbed
-    into single entries, then the affine reduction a_1 - a_3 <= 2*pi is
-    applied (each pass strictly decreases sum a^2, so it terminates).
-    Ambient convention: exp(H) = diag(e^{i a_j}) for H with coordinates a."""
-    a = np.angle(eigvals)
-    k = np.rint(a.sum(axis=1) / TWO_PI).astype(int)
-    for row in np.flatnonzero(k == 1):
-        a[row, np.argmax(a[row])] -= TWO_PI
-    for row in np.flatnonzero(k == -1):
-        a[row, np.argmin(a[row])] += TWO_PI
-    a = _su3_ambient_sorted(a)
-    for _ in range(8):
-        over = a[:, 0] - a[:, 2] > TWO_PI + 1e-12
-        if not over.any():
-            break
-        a[over, 0] -= TWO_PI
-        a[over, 2] += TWO_PI
-        a[over] = _su3_ambient_sorted(a[over])
-    else:
-        raise InstabilityError("su3 alcove reduction did not terminate")
-    g = _SU3_GROUP()
-    return a @ g._coord_map.T
-
-
-@lru_cache(maxsize=1)
-def _SU3_GROUP():
-    from .groups import make_group
-
-    return make_group("su3")
-
-
-def _simulate_chunk_coords(cfg: SdeConfig, index: int, count: int) -> np.ndarray:
-    """Alcove torus coordinates of the chunk's endpoints, shape (count, rank)."""
-    states = _run_chunk_states(cfg, index, count)
-    return np.concatenate([st.alcove_coords() for st in states], axis=1)
-
-
-def _run_chunk_states(cfg: SdeConfig, index: int, count: int):
+def _run_chunk(cfg: SdeConfig, index: int, count: int) -> _Chunk:
     rng = _rng(cfg.seed, _TAG_GROUP, index)
-    kinds = _factor_kinds(cfg.group)
-    states = [_new_state(kind, dim, count) for kind, dim in kinds]
-    dims = [dim for _, dim in kinds]
-    offsets = np.cumsum([0] + dims)
+    chunk = _Chunk(cfg.group, count)
     n = cfg.n_steps
     h = cfg.step
     last = cfg.t - (n - 1) * h
     for k in range(n):
         sqh = math.sqrt(h if k < n - 1 else last)
-        z = rng.standard_normal((count, offsets[-1]))
-        for st, lo, hi in zip(states, offsets[:-1], offsets[1:]):
-            st.step(z[:, lo:hi], sqh)
+        chunk.advance(rng.standard_normal((count, cfg.group.dim)), sqh)
         if (k + 1) % _RENORM_EVERY == 0 or k == n - 1:
-            for st in states:
-                drift = st.drift()
-                if drift > _DRIFT_TOL:
-                    raise InstabilityError(
-                        f"{cfg.group.name}: drift {drift:.2e} off the group "
-                        f"manifold exceeds {_DRIFT_TOL:g} before renormalization"
-                    )
-                st.renormalize()
-    return states
+            chunk.renormalize()
+    return chunk
+
+
+def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
+    """The chunk's exact N(0, t I_dim) endpoints of flat Brownian motion."""
+    rng = _rng(cfg.seed, _TAG_FLAT, index)
+    return rng.standard_normal((count, dim)) * math.sqrt(cfg.t)
 
 
 # ---------------------------------------------------------------------------
@@ -406,33 +440,15 @@ def _run_chunk_states(cfg: SdeConfig, index: int, count: int):
 def sample_flat_endpoint(cfg: SdeConfig, dim: int) -> np.ndarray:
     """Exact Gaussian endpoints N(0, t I_dim) of flat Brownian motion, one
     row per path; chunked and seeded like every other estimator."""
-    parts = _map_chunks(
-        cfg,
-        lambda i, c: _rng(cfg.seed, _TAG_FLAT, i).standard_normal((c, dim))
-        * math.sqrt(cfg.t),
-        threads=None,
-    )
+    parts = _map_chunks(cfg, lambda i, c: _flat_draw(cfg, i, c, dim), threads=None)
     return np.concatenate(parts, axis=0)
 
 
 def sample_group_endpoint(cfg: SdeConfig, threads: int | None = None) -> np.ndarray:
     """Matrix endpoints of the geodesic Euler scheme at time t, one matrix
     per path (block-diagonal over product factors)."""
-    def worker(i, c):
-        states = _run_chunk_states(cfg, i, c)
-        mats = [st.matrices() for st in states]
-        if len(mats) == 1:
-            return mats[0]
-        size = sum(m.shape[1] for m in mats)
-        out = np.zeros((c, size, size), dtype=complex)
-        at = 0
-        for m in mats:
-            k = m.shape[1]
-            out[:, at:at + k, at:at + k] = m
-            at += k
-        return out
-
-    return np.concatenate(_map_chunks(cfg, worker, threads), axis=0)
+    parts = _map_chunks(cfg, lambda i, c: _run_chunk(cfg, i, c).matrices(), threads)
+    return np.concatenate(parts, axis=0)
 
 
 def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
@@ -449,30 +465,11 @@ def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
     eye = np.eye(x.shape[1])
     if float(np.max(np.abs(gram - eye[None]))) > 1e-6:
         raise DomainError(f"{g.name}: input is not on the group to 1e-6")
-    kinds = _factor_kinds(g)
     blocks = []
     at = 0
-    for kind, dim in kinds:
-        if kind == "su2":
-            sub = x[:, at:at + 2, at:at + 2]
-            tr = np.einsum("cii->c", sub).real
-            blocks.append(2.0 * np.arccos(np.clip(tr / 2.0, -1.0, 1.0))[:, None])
-            at += 2
-        elif kind == "so3":
-            sub = x[:, at:at + 3, at:at + 3]
-            tr = np.einsum("cii->c", sub).real
-            blocks.append(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))[:, None])
-            at += 3
-        elif kind == "su3":
-            sub = x[:, at:at + 3, at:at + 3]
-            blocks.append(_su3_fold(np.linalg.eigvals(sub)))
-            at += 3
-        else:  # torus block: diagonal unitary
-            sub = x[:, at:at + dim, at:at + dim]
-            idx = np.arange(dim)
-            phases = np.angle(sub[:, idx, idx])
-            blocks.append(phases)
-            at += dim
+    for eng in _engines(g, 0):
+        blocks.append(eng.fold(x[:, at:at + eng.block, at:at + eng.block]))
+        at += eng.block
     out = np.concatenate(blocks, axis=1)
     return out[0] if single else out
 
@@ -524,8 +521,7 @@ def real_character(g: GroupSpec, coords) -> RealCharacter:
 def mc_expect_central(f, cfg: SdeConfig, threads: int | None = None) -> McEstimate:
     """Monte Carlo mean of a central function over plain group endpoints."""
     def worker(i, c):
-        coords = _simulate_chunk_coords(cfg, i, c)
-        v = _central_values(f, coords)
+        v = _central_values(f, _run_chunk(cfg, i, c).alcove_coords())
         return float(v.sum()), float((v * v).sum()), len(v)
 
     return _reduce_moments(_map_chunks(cfg, worker, threads), cfg.seed)
@@ -536,26 +532,13 @@ def _algebra_projection(g: GroupSpec, z: np.ndarray) -> np.ndarray:
 
     No alcove folding happens here: the projection preserves the norm and
     the root angles, so j and any central function take the same values at
-    the projected point as at z itself.  Rank-one factors project to the
-    coordinate norm; su3 diagonalizes; torus factors pass through.
+    the projected point as at z itself.
     """
-    kinds = _factor_kinds(g)
     blocks = []
     at = 0
-    for kind, dim in kinds:
-        sub = z[:, at:at + dim]
-        if kind in ("su2", "so3"):
-            blocks.append(np.linalg.norm(sub, axis=1)[:, None])
-        elif kind == "su3":
-            # Z = sum z_a X_a with X_a = -i lambda_a / 2 is conjugate to
-            # diag(i a) for a = minus the (ascending) eigenvalues of the
-            # Hermitian part, which lands a in descending chamber order.
-            ham = np.einsum("ca,aij->cij", sub, _gell_mann()) * 0.5
-            a = -np.linalg.eigvalsh(ham)
-            blocks.append(a @ _SU3_GROUP()._coord_map.T)
-        else:
-            blocks.append(sub)
-        at += dim
+    for eng in _engines(g, 0):
+        blocks.append(eng.project(z[:, at:at + eng.factor.dim]))
+        at += eng.factor.dim
     return np.concatenate(blocks, axis=1)
 
 
@@ -573,11 +556,8 @@ def wrap_bm_check(
     """
     from .groups import j_compact
 
-    dim = g.dim
-
     def flat_worker(i, c):
-        z = _rng(cfg.seed, _TAG_FLAT, i).standard_normal((c, dim)) * math.sqrt(cfg.t)
-        coords = _algebra_projection(g, z)
+        coords = _algebra_projection(g, _flat_draw(cfg, i, c, g.dim))
         v = j_compact(g, coords) * _central_values(f, coords)
         return float(v.sum()), float((v * v).sum()), len(v)
 
@@ -598,15 +578,14 @@ def wrap_bm_check(
 # ---------------------------------------------------------------------------
 
 def _alcove_interval(g: GroupSpec) -> tuple[float, float]:
-    if g.name == "su2":
-        return 0.0, TWO_PI
-    if g.name == "so3":
-        return 0.0, math.pi
-    if g.name == "torus1":
-        return -math.pi, math.pi
-    raise DomainError(
-        f"empirical density binning needs a rank-one group, not {g.name}"
-    )
+    """The rank-one alcove: half the kernel lattice step, one-sided when a
+    root's Weyl reflection folds the circle."""
+    if g.rank != 1:
+        raise DomainError(
+            f"empirical density binning needs a rank-one group, not {g.name}"
+        )
+    half = abs(float(g.gamma_basis[0, 0])) / 2.0
+    return (0.0, half) if g.n_positive_roots else (-half, half)
 
 
 def empirical_density_table(
@@ -643,7 +622,7 @@ def empirical_density_table(
     probs = probs / probs.sum()
 
     def worker(i, c):
-        coords = _simulate_chunk_coords(cfg, i, c)[:, 0]
+        coords = _run_chunk(cfg, i, c).alcove_coords()[:, 0]
         counts, _ = np.histogram(coords, bins=edges)
         return counts
 
@@ -670,15 +649,6 @@ def empirical_density_table(
     return score, rows
 
 
-def empirical_density_check(
-    g: GroupSpec, cfg: SdeConfig, bins: int, threads: int | None = None
-) -> float:
-    """Max over counted bins of relative deviation over its pass threshold;
-    values below 1 mean the histogram matches the predicted density."""
-    score, _ = empirical_density_table(g, cfg, bins, threads)
-    return score
-
-
 def weak_order_ratio(
     g: GroupSpec,
     f,
@@ -702,35 +672,24 @@ def weak_order_ratio(
         raise DomainError("t/h must be an integer for the coupled comparison")
     cfg = SdeConfig(group=g, t=t, step=h, paths=paths, seed=seed, chunk=chunk)
 
-    kinds = _factor_kinds(g)
-    dims = [d for _, d in kinds]
-    offsets = np.cumsum([0] + dims)
-
     def worker(i, c):
         rng = _rng(seed, _TAG_COUPLED, i)
-        trio = [
-            [_new_state(kind, dim, c) for kind, dim in kinds] for _ in range(3)
-        ]
+        trio = [_Chunk(g, c) for _ in range(3)]
         sq = [math.sqrt(h), math.sqrt(h / 2), math.sqrt(h / 4)]
         for _ in range(n_h):
-            fine = rng.standard_normal((4, c, offsets[-1]))
+            fine = rng.standard_normal((4, c, g.dim))
             levels = [
                 [fine.sum(axis=0) / 2.0],
                 [(fine[0] + fine[1]) / math.sqrt(2), (fine[2] + fine[3]) / math.sqrt(2)],
                 [fine[0], fine[1], fine[2], fine[3]],
             ]
-            for lvl in range(3):
-                for z in levels[lvl]:
-                    for st, a, b in zip(trio[lvl], offsets[:-1], offsets[1:]):
-                        st.step(z[:, a:b], sq[lvl])
+            for chunk, zs, sqh in zip(trio, levels, sq):
+                for z in zs:
+                    chunk.advance(z, sqh)
         vals = []
-        for lvl in range(3):
-            for st in trio[lvl]:
-                st.renormalize()
-            coords = np.concatenate(
-                [st.alcove_coords() for st in trio[lvl]], axis=1
-            )
-            vals.append(_central_values(f, coords))
+        for chunk in trio:
+            chunk.renormalize()
+            vals.append(_central_values(f, chunk.alcove_coords()))
         d1 = vals[0] - vals[1]
         d2 = vals[1] - vals[2]
         return (

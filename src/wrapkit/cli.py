@@ -178,6 +178,8 @@ def _parse_mixture(text: str) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 
 def _cmd_kernel(eff: dict) -> int:
+    """kernel and poisson-check: both routes on an alcove grid; kernel also
+    names the route auto_kernel would trust."""
     g = make_group(eff["group"])
     pts = alcove_points(g, eff["grid"])
     spectral = np.atleast_1d(spectral_heat_kernel(g, pts, eff["t"], True, eff["tol"]))
@@ -185,22 +187,10 @@ def _cmd_kernel(eff: dict) -> int:
     gap = np.abs(spectral - wrapped)
     rows = [(*p, s, w, d) for p, s, w, d in zip(pts, spectral, wrapped, gap)]
     ok = float(gap.max()) < eff["threshold"]
+    route = ([("route", preferred_route(g, pts, eff["t"]))]
+             if eff["command"] == "kernel" else [])
     _emit(eff, _coord_columns(g.rank) + ["spectral", "wrapped", "gap"], rows,
-          [("route", preferred_route(g, pts, eff["t"])),
-           ("max_gap", float(gap.max())), ("pass", ok)])
-    return 0 if ok else 1
-
-
-def _cmd_poisson_check(eff: dict) -> int:
-    g = make_group(eff["group"])
-    pts = alcove_points(g, eff["grid"])
-    spectral = np.atleast_1d(spectral_heat_kernel(g, pts, eff["t"], True, eff["tol"]))
-    wrapped = np.atleast_1d(wrapped_heat_kernel(g, pts, eff["t"], eff["tol"]))
-    gap = np.abs(spectral - wrapped)
-    rows = [(*p, s, w, d) for p, s, w, d in zip(pts, spectral, wrapped, gap)]
-    ok = float(gap.max()) < eff["threshold"]
-    _emit(eff, _coord_columns(g.rank) + ["spectral", "wrapped", "gap"], rows,
-          [("max_gap", float(gap.max())), ("pass", ok)])
+          route + [("max_gap", float(gap.max())), ("pass", ok)])
     return 0 if ok else 1
 
 
@@ -325,7 +315,7 @@ _COMMANDS: dict = {
     ),
     "poisson-check": (
         "lattice-sum vs character-series identity for the heat Gaussian",
-        _cmd_poisson_check,
+        _cmd_kernel,
         (
             _Param("group", str, None, "catalog group name"),
             _Param("t", float, 1.0, "time"),

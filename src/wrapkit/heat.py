@@ -35,8 +35,6 @@ from .wrapping import (
     wrap_spectral,
 )
 
-_VARIANTS = ("flat", "spectral_shifted", "spectral_plain", "wrapped", "bend_complex")
-
 
 def flat_heat_kernel(x_norm_sq, t: float, n: int):
     """Gaussian heat kernel on R^n: (2 pi t)^{-n/2} e^{-||x||^2 / 2t}.
@@ -52,26 +50,6 @@ def flat_heat_kernel(x_norm_sq, t: float, n: int):
         raise DomainError("x_norm_sq must be nonnegative")
     out = (2 * math.pi * t) ** (-n / 2) * np.exp(-q / (2 * t))
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """A fully specified kernel evaluation request."""
-
-    group: GroupSpec
-    time: float
-    variant: str
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.time <= 0:
-            raise DomainError("time must be positive")
-        if not 0 < self.tol < 1:
-            raise DomainError("tol must be in (0, 1)")
-        if self.variant not in _VARIANTS:
-            raise DomainError(
-                f"variant {self.variant!r} not one of {_VARIANTS}"
-            )
 
 
 @lru_cache(maxsize=256)
@@ -124,24 +102,6 @@ def wrapped_heat_kernel(g: GroupSpec, H, t: float, tol: float = 1e-10):
     pts, single = _as_points(g, H)
     vals = np.array([wrap_lattice(g, nu, p, tol) for p in pts])
     return float(vals[0]) if single else vals
-
-
-def evaluate_kernel(ks: KernelSpec, H):
-    """Dispatch a KernelSpec to the matching evaluator."""
-    g = ks.group
-    if ks.variant == "flat":
-        pts, single = _as_points(g, H)
-        vals = np.array(
-            [flat_heat_kernel(float(p @ p), ks.time, g.dim) for p in pts]
-        )
-        return float(vals[0]) if single else vals
-    if ks.variant == "spectral_shifted":
-        return spectral_heat_kernel(g, H, ks.time, True, ks.tol)
-    if ks.variant == "spectral_plain":
-        return spectral_heat_kernel(g, H, ks.time, False, ks.tol)
-    if ks.variant == "wrapped":
-        return wrapped_heat_kernel(g, H, ks.time, ks.tol)
-    return bend_complex(complexify(g), H, ks.time)
 
 
 def preferred_route(g: GroupSpec, H, t: float) -> str:

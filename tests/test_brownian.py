@@ -13,12 +13,13 @@ from numpy.testing import assert_allclose
 
 from wrapkit import (
     DomainError,
+    InstabilityError,
     ResolutionError,
     ResourceLimitError,
     SdeConfig,
+    brownian,
     character,
     conjugacy_coordinate,
-    empirical_density_check,
     empirical_density_table,
     feynman_kac_weight,
     is_regular,
@@ -207,6 +208,28 @@ def test_conjugacy_coordinate_is_conjugation_invariant():
     assert_allclose(conjugacy_coordinate(su3, y), H0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "name", ["torus1", "torus2", "su2", "so3", "su2xsu2", "su3"])
+def test_matrix_fold_matches_engine_fold(name):
+    # the fold conjugacy_coordinate applies to endpoint matrices and the one
+    # each engine applies to its own path state must name the same point
+    g = make_group(name)
+    cfg = SdeConfig(group=g, t=0.5, step=5e-3, paths=300, seed=31, chunk=200)
+    mats = sample_group_endpoint(cfg)
+    engine = np.concatenate([brownian._run_chunk(cfg, i, c).alcove_coords()
+                             for i, c in cfg.chunks()])
+    diff = conjugacy_coordinate(g, mats) - engine
+    if g.is_abelian:
+        diff = (diff + math.pi) % TWO_PI - math.pi
+    assert engine.shape == (cfg.paths, g.rank)
+    assert np.max(np.abs(diff)) < 1e-10
+    if name == "so3":
+        assert mats.shape == (cfg.paths, 3, 3)
+        assert np.isrealobj(mats)
+        assert np.max(np.abs(mats @ np.transpose(mats, (0, 2, 1)) - np.eye(3))) < 1e-12
+        assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-12
+
+
 def test_conjugacy_coordinate_identity_and_rejection():
     su2 = make_group("su2")
     assert_allclose(conjugacy_coordinate(su2, np.eye(2)), [0.0], atol=0)
@@ -297,7 +320,7 @@ def test_empirical_density_guards():
         empirical_density_table(su2, cfg, 200)
     with pytest.raises(DomainError):
         empirical_density_table(su2, cfg, 0)
-    assert empirical_density_check(su2, cfg, 4) < 1.0
+    assert empirical_density_table(su2, cfg, 4)[0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +338,18 @@ def test_weak_error_halves_with_the_step():
     assert d1 < 0 and d2 < 0
     assert abs(d1) > 5 * se1
     assert 1.5 <= ratio <= 2.5
+
+
+def test_drift_guard_covers_every_stepping_loop(monkeypatch):
+    # a negative tolerance makes every drift, even an exact zero, too large
+    monkeypatch.setattr(brownian, "_DRIFT_TOL", -1.0)
+    su2 = make_group("su2")
+    f = real_character(su2, (1,))
+    cfg = SdeConfig(group=su2, t=0.05, step=1e-2, paths=50, seed=1)
+    with pytest.raises(InstabilityError, match="drift"):
+        mc_expect_central(f, cfg)
+    with pytest.raises(InstabilityError, match="drift"):
+        weak_order_ratio(su2, f, t=0.05, h=0.01, paths=50, seed=1)
 
 
 def test_weak_order_ratio_needs_integer_steps():

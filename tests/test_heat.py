@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from wrapkit import (
     DomainError,
-    KernelSpec,
     ResourceLimitError,
     alcove_points,
     auto_kernel,
@@ -16,7 +15,6 @@ from wrapkit import (
     cell_grid,
     complexify,
     enumerate_weights,
-    evaluate_kernel,
     flat_heat_kernel,
     haar_quadrature,
     heat_coefficients,
@@ -123,30 +121,6 @@ def test_semigroup_property():
     assert quad_gap < 1e-10
     with pytest.raises(DomainError):
         semigroup_gap(su2, 0.0, 0.5)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def test_kernel_spec_dispatch():
-    su2 = make_group("su2")
-    H = np.array([1.2])
-    pairs = [
-        ("spectral_shifted", spectral_heat_kernel(su2, H, 0.5, shifted=True)),
-        ("spectral_plain", spectral_heat_kernel(su2, H, 0.5, shifted=False)),
-        ("wrapped", wrapped_heat_kernel(su2, H, 0.5)),
-        ("flat", flat_heat_kernel(float(H @ H), 0.5, su2.dim)),
-    ]
-    for variant, direct in pairs:
-        ks = KernelSpec(group=su2, time=0.5, variant=variant)
-        assert_allclose(evaluate_kernel(ks, H), direct, rtol=1e-13)
-    with pytest.raises(DomainError, match="variant"):
-        KernelSpec(group=su2, time=0.5, variant="magic")
-    with pytest.raises(DomainError):
-        KernelSpec(group=su2, time=-1.0, variant="spectral_shifted")
-    with pytest.raises(DomainError):
-        KernelSpec(group=su2, time=0.5, variant="wrapped", tol=2.0)
 
 
 def test_preferred_route():
