@@ -249,7 +249,9 @@ class _Su2Engine:
         self.b = self.b / r
 
     def alcove_coords(self) -> np.ndarray:
-        return 2.0 * np.arccos(np.clip(self.a.real, -1.0, 1.0))[:, None]
+        # atan2 keeps full relative precision near the identity; arccos(Re a) does not
+        return 2.0 * np.arctan2(np.hypot(self.a.imag, np.abs(self.b)),
+                                self.a.real)[:, None]
 
     def matrices(self) -> np.ndarray:
         m = np.empty((len(self.a), 2, 2), dtype=complex)
@@ -260,8 +262,10 @@ class _Su2Engine:
         return m
 
     def fold(self, m: np.ndarray) -> np.ndarray:
+        # class functions: tr U = 2 cos(theta/2), |U - U^+|_F = 2 sqrt2 sin(theta/2)
         tr = np.einsum("cii->c", m).real
-        return 2.0 * np.arccos(np.clip(tr / 2.0, -1.0, 1.0))[:, None]
+        anti = np.linalg.norm(m - np.conj(np.transpose(m, (0, 2, 1))), axis=(1, 2))
+        return 2.0 * np.arctan2(anti / math.sqrt(2.0), tr)[:, None]
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """Rank one: the torus coordinate is the algebra norm."""
@@ -278,7 +282,8 @@ class _So3Engine(_Su2Engine):
     _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
     def alcove_coords(self) -> np.ndarray:
-        return 2.0 * np.arccos(np.minimum(np.abs(self.a.real), 1.0))[:, None]
+        return 2.0 * np.arctan2(np.hypot(self.a.imag, np.abs(self.b)),
+                                np.abs(self.a.real))[:, None]
 
     def matrices(self) -> np.ndarray:
         """Adjoint rotations R_ij = tr(sigma_i U sigma_j U^dagger) / 2."""
@@ -288,8 +293,10 @@ class _So3Engine(_Su2Engine):
         return r.real / 2.0
 
     def fold(self, m: np.ndarray) -> np.ndarray:
+        # class functions: tr R - 1 = 2 cos(phi), |R - R^T|_F = 2 sqrt2 sin(phi)
         tr = np.einsum("cii->c", m).real
-        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))[:, None]
+        anti = np.linalg.norm(m - np.transpose(m, (0, 2, 1)), axis=(1, 2))
+        return np.arctan2(anti / math.sqrt(2.0), tr - 1.0)[:, None]
 
 
 class _Su3Engine:

@@ -9,14 +9,15 @@ kernel of exp restricted to the Cartan subalgebra is 2*pi times the coroot
 lattice for the simply connected entries (4*pi*Z for su2, its index-two
 superset 2*pi*Z for so3).
 
-Construction runs in two layers.  A rational layer (Fractions in
+Construction runs in three layers.  A rational layer (Fractions in
 lattice-adapted ambient coordinates) checks the structural invariants
 exactly: strict positivity of <rho, alpha>, integrality of the pairings
 between the weight lattice and the exponential kernel lattice, closure of
 the Weyl group with determinants of modulus one, and the dimension count
-dim = rank + 2 * #positive_roots.  A numeric layer then fixes an orthonormal
-basis of the Cartan subalgebra and exposes float data (roots as covectors,
-rho, lattice bases, Weyl matrices) for all downstream numerics.
+dim = rank + 2 * #positive_roots.  An integer layer (that data times the lcm
+of its denominators) enumerates and measures weights by exact int64 forms.
+A numeric layer then fixes an orthonormal basis of the Cartan subalgebra and
+exposes float data (roots as covectors, rho, lattice bases, Weyl matrices).
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ def _fvec(*entries) -> tuple[Fraction, ...]:
 
 def _dot(gram, u, v) -> Fraction:
     return sum(gram[i][i] * u[i] * v[i] for i in range(len(u)))
-
-
-def _matvec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def _matmul(a, b):
@@ -294,6 +291,52 @@ def _validate_raw(raw: _RawGroup) -> None:
 
 
 # ---------------------------------------------------------------------------
+# integer layer
+# ---------------------------------------------------------------------------
+
+class _IntegerForms:
+    """Weight data of one group times ``scale``, the lcm of its denominators,
+    with rows (weight generators, rho).  For coordinates c and h = (c, 1):
+    h.gram.h = scale * ||lambda + rho||^2; c @ simple[:-1] >= 0 iff dominant;
+    prod(h @ roots) / rho_prod is the Weyl dimension; h @ ambient = scale *
+    (lambda + rho).  ``table`` = (limit, scaled norms, weights) for the
+    largest cutoff so far, replaced whole and never edited."""
+
+    def __init__(self, raw: _RawGroup):
+        rows = raw.weight_gens + (raw.rho,)
+
+        def pairs(vs):
+            return [[_dot(raw.gram, u, v) for v in vs] for u in rows]
+
+        forms = {"gram": pairs(rows), "simple": pairs(raw.simple_roots),
+                 "roots": pairs(raw.pos_roots), "ambient": rows}
+        self.name = raw.name
+        self.scale = math.lcm(*(x.denominator for m in forms.values() for r in m for x in r))
+        for key, m in forms.items():
+            setattr(self, key, np.array([[int(x * self.scale) for x in r] for r in m],
+                                        dtype=np.int64))
+        self.rho_prod = math.prod(int(x) for x in self.roots[-1])
+        self.table = None
+
+    def norms(self, c: np.ndarray) -> np.ndarray:
+        h = np.column_stack([c, np.ones(len(c), dtype=np.int64)])
+        return np.einsum("ni,ij,nj->n", h, self.gram, h)
+
+    def dominant(self, c: np.ndarray) -> np.ndarray:
+        return np.all(c @ self.simple[:-1] >= 0, axis=1)
+
+    def dimensions(self, c: np.ndarray) -> np.ndarray:
+        """Exact Weyl products, in int64; raises rather than wrap or round."""
+        pairs = c @ self.roots[:-1] + self.roots[-1]
+        if len(c) and math.prod(int(x) for x in np.abs(pairs).max(axis=0)) >= 2**63:
+            raise InstabilityError(f"{self.name}: Weyl dimension overflows int64")
+        dims, rest = np.divmod(pairs.prod(axis=1), self.rho_prod)
+        if np.any(rest):
+            raise InstabilityError(f"{self.name}: Weyl dimension not an integer")
+        return dims
+
+
+# ---------------------------------------------------------------------------
 # numeric layer
 # ---------------------------------------------------------------------------
 
@@ -332,11 +375,10 @@ class GroupSpec:
     volume: float
     factor_names: tuple
     factor_slices: tuple
-    _raw: _RawGroup = field(repr=False)
     _weyl_mats: np.ndarray = field(repr=False)
     _weyl_signs: np.ndarray = field(repr=False)
     _coord_map: np.ndarray = field(repr=False)   # (rank, ambient): v -> coords
-    _lift: np.ndarray = field(repr=False)        # (ambient, rank): coords -> v
+    _ints: _IntegerForms = field(repr=False)
 
     @property
     def n_positive_roots(self) -> int:
@@ -432,11 +474,10 @@ def _finish(raw: _RawGroup) -> GroupSpec:
         volume=volume,
         factor_names=raw.factor_names,
         factor_slices=raw.factor_slices,
-        _raw=raw,
         _weyl_mats=mats,
         _weyl_signs=signs,
         _coord_map=coord_map,
-        _lift=lift,
+        _ints=_IntegerForms(raw),
     )
 
 
@@ -485,63 +526,42 @@ class Weight:
     dimension: int = field(compare=False)
     lambda_plus_rho_norm_sq: float = field(compare=False)
     mu: np.ndarray = field(compare=False, repr=False)          # lambda + rho
-    _norm_exact: Fraction = field(compare=False, repr=False)
+    _norm_key: int = field(compare=False, repr=False)          # scaled norm
 
 
-def _exact_weight_vector(raw: _RawGroup, coords) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * raw.ambient
-    for c, gen in zip(coords, raw.weight_gens):
-        for i in range(raw.ambient):
-            out[i] += c * gen[i]
-    return tuple(out)
+def _coord_rows(g: GroupSpec, coords) -> np.ndarray:
+    coords = [int(c) for c in coords]
+    if len(coords) != g.rank:
+        raise DomainError(f"{g.name}: expected {g.rank} weight coordinates")
+    if any(abs(c) > 2**20 for c in coords):
+        raise InstabilityError(f"{g.name}: coordinates beyond the exact int64 range")
+    return np.array([coords], dtype=np.int64)
+
+
+def _make_weights(g: GroupSpec, c: np.ndarray, norms: np.ndarray) -> list[Weight]:
+    f = g._ints
+    amb = (c @ f.ambient[:-1] + f.ambient[-1]) / f.scale
+    # stacked matvecs round each mu like coord_map @ v; one matmul would not
+    mus = np.matmul(g._coord_map, amb[..., None])[..., 0]
+    mus.setflags(write=False)
+    return [
+        Weight(g.name, tuple(k), int(d), float(nq / f.scale), mu, int(nq))
+        for k, d, nq, mu in zip(c.tolist(), f.dimensions(c), norms, mus)
+    ]
 
 
 def weight(g: GroupSpec, coords) -> Weight:
     """Construct the dominant weight with the given integer coordinates."""
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != g.rank:
-        raise DomainError(f"{g.name}: expected {g.rank} weight coordinates")
-    return _weight_cached(g.name, coords)
-
-
-@lru_cache(maxsize=250_000)
-def _weight_cached(group_name: str, coords: tuple[int, ...]) -> Weight:
-    g = make_group(group_name)
-    raw = g._raw
-    lam = _exact_weight_vector(raw, coords)
-    for alpha in raw.simple_roots:
-        if _dot(raw.gram, lam, alpha) < 0:
-            raise DomainError(f"{g.name}: coordinates {coords} are not dominant")
-    rho = raw.rho
-    mu_exact = tuple(a + b for a, b in zip(lam, rho))
-    nsq = _dot(raw.gram, mu_exact, mu_exact)
-    dim = weyl_dimension(g, coords)
-    mu = g._coord_map @ np.array([float(x) for x in mu_exact])
-    mu.setflags(write=False)
-    return Weight(
-        group_name=g.name,
-        coords=coords,
-        dimension=dim,
-        lambda_plus_rho_norm_sq=float(nsq),
-        mu=mu,
-        _norm_exact=nsq,
-    )
+    c = _coord_rows(g, coords)
+    if not g._ints.dominant(c)[0]:
+        raise DomainError(f"{g.name}: coordinates {tuple(c[0].tolist())} are not dominant")
+    return _make_weights(g, c, g._ints.norms(c))[0]
 
 
 def weyl_dimension(g: GroupSpec, coords) -> int:
     """Dimension of the irreducible representation with highest weight
-    ``coords``, via the exact rational Weyl product formula."""
-    coords = tuple(int(c) for c in coords)
-    raw = g._raw
-    lam = _exact_weight_vector(raw, coords)
-    rho = raw.rho
-    mu = tuple(a + b for a, b in zip(lam, rho))
-    out = Fraction(1)
-    for alpha in raw.pos_roots:
-        out *= _dot(raw.gram, mu, alpha) / _dot(raw.gram, rho, alpha)
-    if out.denominator != 1:
-        raise InstabilityError(f"{g.name}: Weyl dimension {out} not an integer")
-    return int(out)
+    ``coords``, via the exact Weyl product formula in integer arithmetic."""
+    return int(g._ints.dimensions(_coord_rows(g, coords))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -746,34 +766,30 @@ def character(g: GroupSpec, lam: Weight | tuple, H):
 
 def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
     """All dominant weights with ||lambda + rho||^2 <= cutoff, sorted by that
-    norm (exact ties broken lexicographically by coordinates)."""
+    norm (exact ties broken lexicographically by coordinates).  The scan is
+    kept per group and served by prefix; a larger cutoff rebuilds it."""
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
     sig = np.linalg.svd(g.weight_basis, compute_uv=False)
     reach = (math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq)) / sig[-1]
     bound = int(math.ceil(reach)) + 1
-    dominant_only = not g.is_abelian
-    axis = range(0, bound + 1) if dominant_only else range(-bound, bound + 1)
+    axis = range(-bound if g.is_abelian else 0, bound + 1)
     if (len(axis)) ** g.rank > WEIGHT_CAP:
         raise ResourceLimitError(
             f"{g.name}: weight scan would visit {(len(axis)) ** g.rank} "
             f"candidates (cap {WEIGHT_CAP}); lower the cutoff"
         )
-    cut = Fraction(cutoff)
-    # float prefilter over the whole box; the exact comparison below still
-    # adjudicates membership, the band just skips hopeless candidates
-    grid = np.array(list(itertools.product(axis, repeat=g.rank)), dtype=float)
-    mu_f = grid @ g.weight_basis + g.rho
-    near = np.einsum("ij,ij->i", mu_f, mu_f) <= cutoff * (1 + 1e-9) + 1e-9
-    out = []
-    for coords in grid[near]:
-        try:
-            w = weight(g, coords)
-        except DomainError:
-            continue
-        if w._norm_exact <= cut:
-            out.append(w)
-    out.sort(key=lambda w: (w._norm_exact, w.coords))
+    limit = math.floor(Fraction(cutoff) * g._ints.scale)
+    table = g._ints.table
+    if table is None or table[0] < limit:
+        box = [np.arange(axis.start, axis.stop, dtype=np.int64)] * g.rank
+        c = np.stack(np.meshgrid(*box, indexing="ij"), -1).reshape(-1, g.rank)
+        norms = g._ints.norms(c)
+        keep = np.flatnonzero((norms <= limit) & g._ints.dominant(c))
+        order = keep[np.lexsort((*c[keep].T[::-1], norms[keep]))]
+        c, norms = c[order], norms[order]
+        g._ints.table = table = (limit, norms, _make_weights(g, c, norms))
+    out = table[2][: int(np.searchsorted(table[1], limit, side="right"))]
     if len(out) > WEIGHT_CAP:
         raise ResourceLimitError(
             f"{g.name}: {len(out)} weights under cutoff {cutoff} (cap {WEIGHT_CAP})"
@@ -810,13 +826,16 @@ def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:
 
 
 def dual_index(g: GroupSpec, xi) -> np.ndarray:
-    """Integer coordinates of a weight-lattice vector against the dual basis
-    of gamma_basis / 2*pi; rounding beyond 1e-6 raises."""
-    xi = np.asarray(xi, dtype=float)
-    raw_idx = (g.gamma_basis @ xi) / TWO_PI
+    """Integer coordinates of weight-lattice vectors (along the last axis)
+    against the dual basis of gamma_basis / 2*pi; rounding beyond 1e-6
+    raises."""
+    raw_idx = np.asarray(xi, dtype=float) @ g.gamma_basis.T / TWO_PI
     idx = np.rint(raw_idx)
-    if np.max(np.abs(raw_idx - idx)) > 1e-6:
-        raise InstabilityError(f"{g.name}: vector {xi} is not in the weight lattice")
+    worst = float(np.max(np.abs(raw_idx - idx), initial=0.0))
+    if worst > 1e-6:
+        raise InstabilityError(
+            f"{g.name}: dual index {worst:.1e} off the integers; not in the weight lattice"
+        )
     return idx.astype(int)
 
 

@@ -21,7 +21,6 @@ from .errors import DomainError, ResourceLimitError
 from .groups import (
     GroupSpec,
     _as_points,
-    alcove_points,
     is_regular,
     make_group,
 )
@@ -30,7 +29,7 @@ from .wrapping import (
     RadialFunction,
     auto_cutoff,
     convolve_central,
-    fourier_coefficients,
+    _quadrature_gap,
     wrap_lattice,
     wrap_spectral,
 )
@@ -143,8 +142,8 @@ def semigroup_gap(
 
     Returns ``(coeff_gap, quad_gap)``: the exact-coefficient gap (the
     exponentials must add), and the max pointwise gap over regular alcove
-    points when both factors are re-extracted from pointwise values by
-    quadrature before convolving, which exercises the full analysis loop.
+    points when both factors are re-extracted by quadrature before
+    convolving, which exercises the full analysis loop.
     """
     if t <= 0 or s <= 0:
         raise DomainError("t and s must be positive")
@@ -157,14 +156,7 @@ def semigroup_gap(
         abs(direct.coeffs[w] - conv.coeffs[w]) for w in direct.coeffs
     )
 
-    q_t = fourier_coefficients(g, f_t, K)
-    q_s = fourier_coefficients(g, f_s, K)
-    via_quad = convolve_central(q_t, q_s)
-    pts = alcove_points(g, grid_points)
-    quad_gap = float(
-        np.max(np.abs(via_quad.evaluate(pts) - direct.evaluate(pts)))
-    )
-    return coeff_gap, quad_gap
+    return coeff_gap, _quadrature_gap(g, f_t, f_s, direct, K, grid_points)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,10 @@ from .groups import (
     alcove_points,
     as_real_checked,
     TWO_PI,
+    _SINGULAR_SIN,
     _as_points,
     cell_grid,
+    dual_index,
     enumerate_weights,
     j_compact,
     lattice_points,
@@ -242,16 +244,25 @@ class CentralFunction:
     cutoff: float
     _order: list = field(default=None, repr=False, compare=False)
     _table: CharacterTable = field(default=None, repr=False, compare=False)
+    _vector: tuple = field(default=None, repr=False, compare=False)
 
     def _sorted_weights(self) -> list:
         if self._order is None:
             self._order = sorted(
-                self.coeffs.keys(), key=lambda w: (w._norm_exact, w.coords)
+                self.coeffs.keys(), key=lambda w: (w._norm_key, w.coords)
             )
         return self._order
 
     def coefficient_vector(self) -> np.ndarray:
         return np.array([self.coeffs[w] for w in self._sorted_weights()])
+
+    def _vector_and_sup(self) -> tuple[np.ndarray, float]:
+        """The coefficient vector and sup |f| <= sum |c_lambda| d_lambda."""
+        if self._vector is None:
+            c = self.coefficient_vector()
+            dims = np.array([w.dimension for w in self._sorted_weights()])
+            self._vector = (c, float(np.sum(np.abs(c) * dims)))
+        return self._vector
 
     def evaluate(self, H):
         """Pointwise values on torus point(s); real by coefficient symmetry."""
@@ -263,10 +274,9 @@ class CentralFunction:
         if self._table is None:
             self._table = CharacterTable(self.group, ws)
         vals = self._table.values(H)
-        c = self.coefficient_vector()
+        c, sup = self._vector_and_sup()
         single = vals.ndim == 1
         total = c @ (vals if not single else vals[:, None])
-        sup = float(np.sum(np.abs(c) * np.array([w.dimension for w in ws])))
         total = as_real_checked(
             total, f"central function on {self.group.name}", scale=sup
         )
@@ -275,19 +285,9 @@ class CentralFunction:
     __call__ = evaluate
 
     def max_dual_index(self) -> int:
-        """Largest infinity-norm integer frequency of any enumerated
-        character against the dual of gamma_basis; the quadrature bandwidth."""
-        ws = self._sorted_weights()
-        if not ws:
-            return 0
-        stack = orbit_stack(self.group, ws)
-        duals = np.einsum("lwi,ki->lwk", stack, self.group.gamma_basis) / TWO_PI
-        idx = np.rint(duals)
-        if np.max(np.abs(duals - idx)) > 1e-6:
-            raise InstabilityError(
-                f"{self.group.name}: non-integral character frequency"
-            )
-        return int(np.max(np.abs(idx))) if idx.size else 0
+        """Largest infinity-norm frequency of any character against the dual
+        of gamma_basis, rounded up on so3; the quadrature bandwidth."""
+        return _frequencies(self.group, self._sorted_weights())[1]
 
 
 def _check_same_group(a: CentralFunction, b: CentralFunction, op: str) -> None:
@@ -440,12 +440,19 @@ def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> flo
 # quadrature analysis
 # ---------------------------------------------------------------------------
 
+def _frequencies(g: GroupSpec, weights: list[Weight]) -> tuple[np.ndarray, int]:
+    """(L, |W|, rank) dual indices of w(lambda + rho) - rho (integral, as w rho - rho
+    is a sum of roots) and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
+    if not weights:
+        return np.zeros((0, g.weyl_order, g.rank), dtype=int), 0
+    idx = dual_index(g, orbit_stack(g, weights) - g.rho)
+    return idx, (int(np.max(np.abs(2 * idx + dual_index(g, 2.0 * g.rho)))) + 1) // 2
+
+
 def required_grid_points(g: GroupSpec, cutoff: float) -> int:
     """Points per dimension needed so the character quadrature below is
     alias-free for functions band-limited by the same cutoff."""
-    ws = enumerate_weights(g, cutoff)
-    probe = CentralFunction(g, {w: 1.0 for w in ws}, cutoff)
-    return 2 * probe.max_dual_index() + 1
+    return 2 * _frequencies(g, enumerate_weights(g, cutoff))[1] + 1
 
 
 def fourier_coefficients(
@@ -457,45 +464,59 @@ def fourier_coefficients(
     """Character coefficients c_lambda = integral f conj(chi_lambda) dHaar by
     the Weyl integration formula on a uniform grid over the fundamental cell.
 
-    The integrand is arranged as f * conj(numerator_lambda) * denominator, so
-    no division by the Weyl denominator ever happens and wall points simply
-    carry zero weight.  Exact (to rounding) for f band-limited within
-    ``cutoff``; content beyond the grid bandwidth aliases as usual for the
-    trapezoidal rule.  ``n`` below the alias-free size raises
-    ResolutionError stating the required count.
+    With den = e^{-i<rho, H>} * Weyl denominator, a function on the torus,
+    c_lambda is the Weyl-signed mean of the DFT (``fftn``) of f * den at the
+    integer frequencies w(lambda + rho) - rho.  For a CentralFunction of the
+    same group f * den is the inverse FFT of its signed coefficients, so
+    nothing is divided by den; realness is checked at regular grid points.
+    Exact (to rounding) for f band-limited within ``cutoff``; content beyond
+    the grid bandwidth aliases as for the trapezoidal rule.  ``n`` below the
+    alias-free size raises ResolutionError stating the required count.
     """
     ws = enumerate_weights(g, cutoff)
     if not ws:
         return CentralFunction(g, {}, cutoff)
-    target = CentralFunction(g, {w: 1.0 for w in ws}, cutoff)
-    need = 2 * target.max_dual_index() + 1
-    if n is None:
-        n = need
+    idx, band = _frequencies(g, ws)
+    need = 2 * band + 1
+    n = need if n is None else n
     if n < need:
         raise ResolutionError(
             f"{g.name}: quadrature grid of {n} points per dimension is "
             f"under-resolved for cutoff {cutoff}; needs at least {need}"
         )
     grid = cell_grid(g, n)
-    fv = f.evaluate(grid) if isinstance(f, CentralFunction) else f(grid)
-    fv = np.asarray(fv, dtype=float)
-    if fv.shape != (len(grid),):
-        raise DomainError("central-function contract returned a bad shape")
-    stack = orbit_stack(g, ws)
-    num = np.einsum(
-        "w,lwp->lp",
-        g._weyl_signs,
-        np.exp(1j * np.einsum("lwi,pi->lwp", stack, grid)),
-    )
-    den = weyl_denominator(g, grid)
-    raw = (np.conj(num) * (fv * den)[None, :]).mean(axis=1) / g.weyl_order
+    den = weyl_denominator(g, grid) * np.exp(-1j * (grid @ g.rho))
+    if isinstance(f, CentralFunction) and f.group is g:
+        c, sup = f._vector_and_sup()
+        spectrum = np.zeros((n,) * g.rank, dtype=complex)
+        freq = _frequencies(g, f._sorted_weights())[0] % n
+        np.add.at(spectrum, tuple(np.moveaxis(freq, -1, 0)), c[:, None] * g._weyl_signs)
+        h = np.fft.ifftn(spectrum).ravel() * len(grid)
+        reg = wall_distance(g, grid) > _SINGULAR_SIN
+        fv = as_real_checked(h[reg] / den[reg], f"central function on {g.name}", sup)
+    else:
+        fv = np.asarray(f(grid), dtype=float)
+        if fv.shape != (len(grid),):
+            raise DomainError("central-function contract returned a bad shape")
+        h = fv * den
+    spectrum = np.fft.fftn(h.reshape((n,) * g.rank)) / len(grid)
     vals = as_real_checked(
-        raw,
+        spectrum[tuple(np.moveaxis(idx % n, -1, 0))] @ g._weyl_signs / g.weyl_order,
         f"fourier_coefficients on {g.name}",
         scale=float(np.max(np.abs(fv))) if len(fv) else 1.0,
     )
     coeffs = {w: float(v) for w, v in zip(ws, vals)}
     return CentralFunction(g, coeffs, float(cutoff))
+
+
+def _quadrature_gap(g: GroupSpec, f1: CentralFunction, f2: CentralFunction,
+                   direct: CentralFunction, cutoff: float, grid_points: int) -> float:
+    """Max gap over alcove points between ``direct`` and f1 * f2 convolved
+    after both are re-extracted by quadrature from the cell grid."""
+    via_quad = convolve_central(fourier_coefficients(g, f1, cutoff),
+                                fourier_coefficients(g, f2, cutoff))
+    pts = alcove_points(g, grid_points)
+    return float(np.max(np.abs(via_quad.evaluate(pts) - direct.evaluate(pts))))
 
 
 # ---------------------------------------------------------------------------
@@ -538,22 +559,13 @@ def wrapping_formula_check(
     Returns ``(coeff_rel_gap, quad_gap)``: the relative coefficient gap
     between transporting the flat convolution nu1 * nu2 and convolving the
     two transports on the group, and the pointwise gap when both factor
-    expansions are re-extracted by quadrature from their pointwise values
-    before convolving (the independent route through the grid)."""
+    expansions are re-extracted by quadrature before convolving (the
+    independent route through the grid, see ``_quadrature_gap``)."""
+    f1, f2 = wrap_spectral(g, nu1, cutoff), wrap_spectral(g, nu2, cutoff)
     direct = wrap_spectral(g, nu1.convolve(nu2), cutoff)
-    spectral = convolve_central(
-        wrap_spectral(g, nu1, cutoff), wrap_spectral(g, nu2, cutoff)
-    )
+    spectral = convolve_central(f1, f2)
     coeff_gap = 0.0
     for w, c in direct.coeffs.items():
         scale = max(abs(c), 1e-300)
         coeff_gap = max(coeff_gap, abs(c - spectral.coeffs[w]) / scale)
-
-    q1 = fourier_coefficients(g, wrap_spectral(g, nu1, cutoff), cutoff)
-    q2 = fourier_coefficients(g, wrap_spectral(g, nu2, cutoff), cutoff)
-    via_quad = convolve_central(q1, q2)
-    pts = alcove_points(g, grid_points)
-    quad_gap = float(
-        np.max(np.abs(via_quad.evaluate(pts) - direct.evaluate(pts)))
-    )
-    return coeff_gap, quad_gap
+    return coeff_gap, _quadrature_gap(g, f1, f2, direct, cutoff, grid_points)

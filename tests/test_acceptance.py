@@ -49,7 +49,7 @@ def _report(num: int, label: str, ok: bool, detail: str, elapsed: float):
 def test_criterion_1_lattice_sum_matches_character_series():
     start = perf_counter()
     worst = 0.0
-    for name in ("torus1", "torus2", "su2", "so3", "su2xsu2"):
+    for name in ("torus1", "torus2", "su2", "so3", "su2xsu2", "su3"):
         g = make_group(name)
         pts = alcove_points(g, 20)
         for t in (0.1, 0.5, 1.0, 2.0):
@@ -105,10 +105,11 @@ def test_criterion_3_shifted_laplacian_commutes_with_wrapping():
 
 def test_criterion_4_semigroup_property():
     start = perf_counter()
-    g = make_group("su2")
     worst_coeff = worst_quad = 0.0
-    for t, s in ((0.5, 0.5), (0.3, 0.7)):
-        coeff_gap, quad_gap = semigroup_gap(g, t, s, grid_points=32)
+    cases = [("su2", 0.5, 0.5), ("su2", 0.3, 0.7)]
+    cases += [(name, 0.5, 0.5) for name in ("so3", "su2xsu2", "su3")]
+    for name, t, s in cases:
+        coeff_gap, quad_gap = semigroup_gap(make_group(name), t, s, grid_points=32)
         worst_coeff = max(worst_coeff, coeff_gap)
         worst_quad = max(worst_quad, quad_gap)
     elapsed = perf_counter() - start
@@ -219,6 +220,7 @@ def _determinism_runs():
             runs.append(["wraplap-check", "--group", name, "--t", t])
     for t, s in (("0.5", "0.5"), ("0.3", "0.7")):
         runs.append(["semigroup-check", "--group", "su2", "--t", t, "--s", s])
+    runs.append(["semigroup-check", "--group", "so3", "--t", "0.5", "--s", "0.5"])
     runs.append(["wrap-bm-check", "--group", "su2", "--t", "1.0",
                  "--step", "1e-3", "--paths", "100000", "--seed", str(SEED)])
     for name in ("torus1", "su2", "so3"):

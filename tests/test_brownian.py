@@ -230,6 +230,24 @@ def test_matrix_fold_matches_engine_fold(name):
         assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("angle", [1e-4, 1e-6, 1e-8])
+def test_conjugacy_coordinate_keeps_precision_near_identity(angle):
+    # an arccos of the trace returns 1e-6 as 1.000044e-6 and 1e-8 as 0
+    su2, so3 = make_group("su2"), make_group("so3")
+    u = np.diag([np.exp(0.5j * angle), np.exp(-0.5j * angle)])
+    r = np.array([[math.cos(angle), -math.sin(angle), 0.0],
+                  [math.sin(angle), math.cos(angle), 0.0],
+                  [0.0, 0.0, 1.0]])
+    assert_allclose(conjugacy_coordinate(su2, u), [angle], rtol=1e-12, atol=0)
+    assert_allclose(conjugacy_coordinate(so3, r), [angle], rtol=1e-12, atol=0)
+    # the same point as su2 path state (a, b) = (e^{i angle/2}, 0), whose
+    # so3 image is the rotation by the same angle
+    for g, eng in ((su2, brownian._Su2Engine), (so3, brownian._So3Engine)):
+        state = eng(g, 1)
+        state.a = np.array([np.exp(0.5j * angle)])
+        assert_allclose(state.alcove_coords(), [[angle]], rtol=1e-12, atol=0)
+
+
 def test_conjugacy_coordinate_identity_and_rejection():
     su2 = make_group("su2")
     assert_allclose(conjugacy_coordinate(su2, np.eye(2)), [0.0], atol=0)

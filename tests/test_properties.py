@@ -1,0 +1,148 @@
+"""Property tests of the spectral core: weight enumeration, its per-group
+table, and the FFT quadrature round trip.
+
+The weight reference below is an independent brute-force scan in Fractions:
+the exact pairings are recovered from the float catalog data (all of them
+are rationals with denominators below 1000), so it shares no integer forms
+with the library.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wrapkit import (
+    CentralFunction,
+    InstabilityError,
+    alcove_points,
+    enumerate_weights,
+    fourier_coefficients,
+    make_group,
+)
+from wrapkit.groups import orbit_stack
+
+ALL_GROUPS = ("torus1", "torus2", "su2", "so3", "su2xsu2", "su3")
+
+
+def _exact(x) -> Fraction:
+    return Fraction(float(x)).limit_denominator(1000)
+
+
+def _exact_matrix(a):
+    return [[_exact(v) for v in row] for row in np.atleast_2d(a)]
+
+
+def _brute_weights(g, cutoff):
+    """(coords, dimension, ||lambda + rho||^2) of every dominant weight under
+    the cutoff, sorted by exact norm and then coordinates."""
+    wb = g.weight_basis
+    gram = _exact_matrix(wb @ wb.T)
+    lin = [_exact(v) for v in wb @ g.rho]                      # <g_i, rho>
+    const = _exact(g.rho_norm_sq)
+    simple = _exact_matrix(wb @ g.simple_roots.T) if len(g.simple_roots) else None
+    roots = _exact_matrix(wb @ g.positive_roots.T) if g.n_positive_roots else None
+    rho_roots = [_exact(v) for v in g.positive_roots @ g.rho]
+    reach = (math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq)) / np.linalg.svd(wb)[1][-1]
+    bound = int(math.ceil(reach)) + 2
+    axis = range(-bound, bound + 1)
+    cut = Fraction(cutoff)
+    out = []
+    for c in np.ndindex(*([len(axis)] * g.rank)):
+        c = [axis[k] for k in c]
+        if simple is not None and any(
+                sum(c[i] * simple[i][s] for i in range(g.rank)) < 0
+                for s in range(len(simple[0]))):
+            continue
+        norm = const + sum(2 * c[i] * lin[i] for i in range(g.rank)) + sum(
+            c[i] * c[j] * gram[i][j] for i in range(g.rank) for j in range(g.rank))
+        if norm > cut:
+            continue
+        dim = Fraction(1)
+        for a in range(len(rho_roots)):
+            dim *= (sum(c[i] * roots[i][a] for i in range(g.rank)) + rho_roots[a]) / rho_roots[a]
+        assert dim.denominator == 1
+        out.append((norm, tuple(c), int(dim)))
+    out.sort()
+    return [(c, d, float(n)) for n, c, d in out]
+
+
+def _conjugates(g, ws):
+    """lambda -> lambda*, the highest weight of the dual representation: the
+    weight whose Weyl orbit of lambda* + rho is minus that of lambda + rho."""
+    def key(stack):
+        return tuple(sorted(map(tuple, np.round(stack, 9))))
+
+    stacks = orbit_stack(g, ws)
+    by_orbit = {key(s): w for s, w in zip(stacks, ws)}
+    return {w: by_orbit[key(-s)] for s, w in zip(stacks, ws)}
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(ALL_GROUPS), cutoff=st.floats(0.05, 60.0))
+def test_enumerate_weights_matches_fraction_brute_force(name, cutoff):
+    g = make_group(name)
+    got = [(w.coords, w.dimension, w.lambda_plus_rho_norm_sq)
+           for w in enumerate_weights(g, cutoff)]
+    assert got == _brute_weights(g, cutoff)
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(ALL_GROUPS), k1=st.floats(0.05, 200.0),
+       k2=st.floats(0.05, 200.0), larger_first=st.booleans())
+def test_enumerate_weights_prefix_whatever_the_call_order(name, k1, k2, larger_first):
+    k1, k2 = sorted((k1, k2))
+    g = make_group(name)
+    g._ints.table = None
+    if larger_first:
+        big = enumerate_weights(g, k2)
+        small = enumerate_weights(g, k1)
+    else:
+        small = enumerate_weights(g, k1)
+        big = enumerate_weights(g, k2)
+    assert big[:len(small)] == small
+    assert all(w.lambda_plus_rho_norm_sq > k1 for w in big[len(small):])
+    g._ints.table = None
+    cold = enumerate_weights(g, k1)
+    assert [(w.coords, w.dimension, w.mu.tobytes()) for w in cold] == \
+        [(w.coords, w.dimension, w.mu.tobytes()) for w in small]
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(ALL_GROUPS), cutoff=st.floats(0.3, 40.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fourier_round_trip_of_random_real_coefficients(name, cutoff, seed):
+    g = make_group(name)
+    ws = enumerate_weights(g, cutoff)
+    assume(ws)
+    rng = np.random.default_rng(seed)
+    conj = _conjugates(g, ws)
+    coeffs = {}
+    for w in ws:
+        if w not in coeffs:
+            # c_lambda = c_lambda* keeps the function real
+            coeffs[w] = coeffs[conj[w]] = float(rng.normal())
+    f = CentralFunction(g, coeffs, cutoff)
+    for source in (f, f.evaluate):
+        back = fourier_coefficients(g, source, cutoff)
+        assert back.coeffs.keys() == coeffs.keys()
+        gap = max(abs(back.coeffs[w] - c) for w, c in coeffs.items())
+        assert gap < 1e-11
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(a=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
+def test_non_real_su3_function_is_refused(a, b):
+    assume(abs(a - b) > 1e-3)
+    su3 = make_group("su3")
+    ws = {w.coords: w for w in enumerate_weights(su3, 4.0)}
+    # chi_(1,0) and chi_(0,1) are complex conjugates: unequal coefficients
+    # leave an imaginary part far above the 1e-10 budget
+    f = CentralFunction(su3, {ws[(0, 0)]: 1.0, ws[(1, 0)]: a, ws[(0, 1)]: b}, 4.0)
+    with pytest.raises(InstabilityError, match="imaginary"):
+        f.evaluate(alcove_points(su3, 5))
+    with pytest.raises(InstabilityError, match="imaginary"):
+        fourier_coefficients(su3, f, 4.0)

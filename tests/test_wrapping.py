@@ -219,7 +219,7 @@ def test_laplacian_spectral_multipliers():
 
 def test_fourier_coefficients_round_trip():
     from wrapkit import CentralFunction, enumerate_weights
-    for name in ("su2", "su3"):
+    for name in ("su2", "so3", "su3"):
         g = make_group(name)
         ws = enumerate_weights(g, 6.0)
         # norm-dependent coefficients stay symmetric under conjugation, so
@@ -229,6 +229,16 @@ def test_fourier_coefficients_round_trip():
         back = fourier_coefficients(g, f, 6.0)
         for w, c in coeffs.items():
             assert_allclose(back.coeffs[w], c, rtol=1e-11, atol=1e-12)
+
+
+def test_so3_quadrature_grid_is_odd():
+    # so3 frequencies w(lambda + rho) are half-integral against the dual of
+    # gamma_basis; the rho-shifted ones are integral and the grid rounds up
+    so3 = make_group("so3")
+    for cutoff, need in ((0.3, 3), (5.0, 5), (37.3, 13), (615.0, 51)):
+        got = required_grid_points(so3, cutoff)
+        assert isinstance(got, int) and got % 2 == 1
+        assert got == need
 
 
 def test_fourier_coefficients_under_resolved():
