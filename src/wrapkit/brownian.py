@@ -36,7 +36,8 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .groups import GroupSpec, TWO_PI, make_group, weyl_density
+from .groups import (CharacterTable, GroupSpec, TWO_PI, _sin_over_y, j_compact,
+                     make_group, weight, weyl_density)
 from .heat import heat_coefficients
 from .wrapping import CentralFunction
 
@@ -230,9 +231,7 @@ class _Su2Engine:
     def step(self, z: np.ndarray, sqh: float) -> None:
         c = 0.5 * sqh * z
         s = np.linalg.norm(c, axis=1)
-        small = s < 1e-6
-        safe = np.where(small, 1.0, s)
-        q = c * np.where(small, 1.0 - s * s / 6.0, np.sin(safe) / safe)[:, None]
+        q = c * _sin_over_y(s)[:, None]
         ua = np.cos(s) - 1j * q[:, 2]
         ub = -q[:, 1] - 1j * q[:, 0]
         a, b = self.a, self.b
@@ -509,8 +508,6 @@ class RealCharacter:
     """
 
     def __init__(self, g: GroupSpec, coords):
-        from .groups import CharacterTable, weight
-
         self.group = g
         self.weight = weight(g, coords)
         self._table = CharacterTable(g, (self.weight,))
@@ -561,8 +558,6 @@ def wrap_bm_check(
     sum_lambda c_lambda d_lambda e^{-||lambda+rho||^2 t/2}; z is the gap in
     combined standard errors.
     """
-    from .groups import j_compact
-
     def flat_worker(i, c):
         coords = _algebra_projection(g, _flat_draw(cfg, i, c, g.dim))
         v = j_compact(g, coords) * _central_values(f, coords)
@@ -699,19 +694,9 @@ def weak_order_ratio(
             vals.append(_central_values(f, chunk.alcove_coords()))
         d1 = vals[0] - vals[1]
         d2 = vals[1] - vals[2]
-        return (
-            float(d1.sum()), float((d1 * d1).sum()),
-            float(d2.sum()), float((d2 * d2).sum()), c,
-        )
+        return [(float(d.sum()), float((d * d).sum()), c) for d in (d1, d2)]
 
     parts = _map_chunks(cfg, worker, threads)
-    s1 = sum(p[0] for p in parts)
-    q1 = sum(p[1] for p in parts)
-    s2 = sum(p[2] for p in parts)
-    q2 = sum(p[3] for p in parts)
-    n = sum(p[4] for p in parts)
-    m1, m2 = s1 / n, s2 / n
-    se1 = math.sqrt(max(q1 / n - m1 * m1, 0.0) / n)
-    se2 = math.sqrt(max(q2 / n - m2 * m2, 0.0) / n)
-    ratio = m1 / m2 if m2 != 0 else math.inf
-    return m1, m2, ratio, se1, se2
+    e1, e2 = (_reduce_moments([p[k] for p in parts], seed) for k in (0, 1))
+    ratio = e1.mean / e2.mean if e2.mean != 0 else math.inf
+    return e1.mean, e2.mean, ratio, e1.stderr, e2.stderr

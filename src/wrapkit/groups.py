@@ -10,14 +10,16 @@ lattice for the simply connected entries (4*pi*Z for su2, its index-two
 superset 2*pi*Z for so3).
 
 Construction runs in three layers.  A rational layer (Fractions in
-lattice-adapted ambient coordinates) checks the structural invariants
-exactly: strict positivity of <rho, alpha>, integrality of the pairings
-between the weight lattice and the exponential kernel lattice, closure of
-the Weyl group with determinants of modulus one, and the dimension count
-dim = rank + 2 * #positive_roots.  An integer layer (that data times the lcm
-of its denominators) enumerates and measures weights by exact int64 forms.
-A numeric layer then fixes an orthonormal basis of the Cartan subalgebra and
-exposes float data (roots as covectors, rho, lattice bases, Weyl matrices).
+lattice-adapted ambient coordinates, a diagonal metric) generates the Weyl
+group as the closure of the simple reflections, signs by word-length parity,
+and checks the structural invariants exactly: strict positivity of
+<rho, alpha>, integrality of the pairings between the weight lattice and the
+exponential kernel lattice, Weyl determinants equal to those signs, and the
+dimension count dim = rank + 2 * #positive_roots.  An integer layer (that
+data times the lcm of its denominators) enumerates and measures weights by
+exact int64 forms.  A numeric layer then fixes an orthonormal basis of the
+Cartan subalgebra and exposes float data (roots as covectors, rho, lattice
+bases, Weyl matrices).
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _SINGULAR_SIN = 5e-5
 # |alpha(H)| below this switches sin(x/2)/(x/2) to its Taylor series.
 _J_SERIES_CUT = 1e-4
 
+# Closure guard for the Weyl group generated from the simple roots.
+_WEYL_CAP = 10_000
+
 
 # ---------------------------------------------------------------------------
 # exact (rational) layer
@@ -62,7 +67,7 @@ def _fvec(*entries) -> tuple[Fraction, ...]:
 
 
 def _dot(gram, u, v) -> Fraction:
-    return sum(gram[i][i] * u[i] * v[i] for i in range(len(u)))
+    return sum(gram[i] * u[i] * v[i] for i in range(len(u)))
 
 
 def _matmul(a, b):
@@ -96,12 +101,11 @@ class _RawGroup:
 
     name: str
     ambient: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[Fraction, ...]
     pos_roots: tuple[tuple[Fraction, ...], ...]
     simple_roots: tuple[tuple[Fraction, ...], ...]
     weight_gens: tuple[tuple[Fraction, ...], ...]
     gamma_gens: tuple[tuple[Fraction, ...], ...]
-    weyl: tuple[tuple[tuple[tuple[Fraction, ...], ...], int], ...]
     factor_names: tuple[str, ...]
     factor_slices: tuple[tuple[int, int], ...]
 
@@ -112,43 +116,25 @@ class _RawGroup:
     @property
     def rho(self) -> tuple[Fraction, ...]:
         half = Fraction(1, 2)
-        return tuple(
-            half * sum(r[i] for r in self.pos_roots) if self.pos_roots else Fraction(0)
-            for i in range(self.ambient)
-        )
-
-
-def _diag_gram(diag) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(diag)
-    return tuple(
-        tuple(Fraction(diag[i]) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+        return tuple(half * sum(r[i] for r in self.pos_roots) for i in range(self.ambient))
 
 
 def _raw_rank1(name: str, gamma_step, weight_step) -> _RawGroup:
     root = (_fvec(1),)
-    eye = ((Fraction(1),),)
-    neg = ((Fraction(-1),),)
     return _RawGroup(
         name=name,
         ambient=1,
-        gram=_diag_gram([1]),
+        gram=_fvec(1),
         pos_roots=root,
         simple_roots=root,
         weight_gens=(_fvec(weight_step),),
         gamma_gens=(_fvec(gamma_step),),
-        weyl=((eye, 1), (neg, -1)),
         factor_names=(name,),
         factor_slices=((0, 1),),
     )
 
 
 def _raw_torus(n: int) -> _RawGroup:
-    eye = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
     gens = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
@@ -156,12 +142,11 @@ def _raw_torus(n: int) -> _RawGroup:
     return _RawGroup(
         name=f"torus{n}",
         ambient=n,
-        gram=_diag_gram([1] * n),
+        gram=_fvec(*[1] * n),
         pos_roots=(),
         simple_roots=(),
         weight_gens=gens,
         gamma_gens=gens,
-        weyl=((eye, 1),),
         factor_names=(f"torus{n}",),
         factor_slices=((0, n),),
     )
@@ -175,22 +160,10 @@ def _raw_su3() -> _RawGroup:
         _fvec(0, half, -half),
         _fvec(half, 0, -half),
     )
-    weyl = []
-    for perm in itertools.permutations(range(3)):
-        mat = tuple(
-            tuple(Fraction(1) if perm[i] == j else Fraction(0) for j in range(3))
-            for i in range(3)
-        )
-        sign = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        weyl.append((mat, sign))
     return _RawGroup(
         name="su3",
         ambient=3,
-        gram=_diag_gram([2, 2, 2]),
+        gram=_fvec(2, 2, 2),
         pos_roots=pos,
         simple_roots=pos[:2],
         weight_gens=(
@@ -198,7 +171,6 @@ def _raw_su3() -> _RawGroup:
             _fvec(sixth, sixth, -2 * sixth),
         ),
         gamma_gens=(_fvec(1, -1, 0), _fvec(0, 1, -1)),
-        weyl=tuple(weyl),
         factor_names=("su3",),
         factor_slices=((0, 2),),
     )
@@ -214,34 +186,11 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
             out[offsets[idx] + j] = val
         return tuple(out)
 
-    gram = [Fraction(0)] * ambient
-    for idx, p in enumerate(parts):
-        for j in range(p.ambient):
-            gram[offsets[idx] + j] = p.gram[j][j]
-
-    weyl = []
-    for combo in itertools.product(*[p.weyl for p in parts]):
-        mat = tuple(
-            tuple(
-                combo[idx][0][i - offsets[idx]][j - offsets[idx]]
-                if offsets[idx] <= i < offsets[idx + 1]
-                and offsets[idx] <= j < offsets[idx + 1]
-                else Fraction(0)
-                for j in range(ambient)
-            )
-            for idx in range(len(parts))
-            for i in range(offsets[idx], offsets[idx + 1])
-        )
-        sign = 1
-        for w in combo:
-            sign *= w[1]
-        weyl.append((mat, sign))
-
     rank_offsets = list(itertools.accumulate([0] + [p.rank for p in parts]))
     return _RawGroup(
         name=name,
         ambient=ambient,
-        gram=_diag_gram(gram),
+        gram=tuple(x for p in parts for x in p.gram),
         pos_roots=tuple(
             embed(r, idx) for idx, p in enumerate(parts) for r in p.pos_roots
         ),
@@ -254,7 +203,6 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
         gamma_gens=tuple(
             embed(g, idx) for idx, p in enumerate(parts) for g in p.gamma_gens
         ),
-        weyl=tuple(weyl),
         factor_names=tuple(n for p in parts for n in p.factor_names),
         factor_slices=tuple(
             (rank_offsets[idx] + a, rank_offsets[idx] + b)
@@ -264,7 +212,34 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
     )
 
 
-def _validate_raw(raw: _RawGroup) -> None:
+def _weyl_group(raw: _RawGroup) -> tuple:
+    """W as the closure of the simple reflections s_a = I - 2 a a^T G / <a, a>_G,
+    each element with its sign (-1)^length, sorted by descending flattened
+    entries.  Raises if the closure outgrows _WEYL_CAP (simple roots that do
+    not span a finite reflection group)."""
+    n = raw.ambient
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    gens = []
+    for a in raw.simple_roots:
+        k = 2 / _dot(raw.gram, a, a)
+        gens.append(tuple(tuple(eye[i][j] - k * a[i] * a[j] * raw.gram[j] for j in range(n))
+                          for i in range(n)))
+    signs = {eye: 1}
+    todo = [eye]
+    while todo:
+        m = todo.pop()
+        for s in gens:
+            w = _matmul(s, m)
+            if w not in signs:
+                signs[w] = -signs[m]
+                todo.append(w)
+        if len(signs) > _WEYL_CAP:
+            raise InstabilityError(f"{raw.name}: Weyl group exceeds {_WEYL_CAP} elements")
+    return tuple(sorted(signs.items(), key=lambda ms: [x for row in ms[0] for x in row],
+                        reverse=True))
+
+
+def _validate_raw(raw: _RawGroup, weyl: tuple) -> None:
     rho = raw.rho
     for alpha in raw.pos_roots:
         if _dot(raw.gram, rho, alpha) <= 0:
@@ -276,17 +251,12 @@ def _validate_raw(raw: _RawGroup) -> None:
                 raise InstabilityError(
                     f"{raw.name}: weight/lattice pairing {pairing} not integral"
                 )
-    mats = {m for m, _ in raw.weyl}
-    for (ma, sa), (mb, sb) in itertools.product(raw.weyl, raw.weyl):
-        prod = _matmul(ma, mb)
-        if prod not in mats:
-            raise InstabilityError(f"{raw.name}: Weyl set not closed under product")
-    for m, sign in raw.weyl:
+    for m, sign in weyl:
         d = _det(m)
         if abs(d) != 1 or d != sign:
             raise InstabilityError(f"{raw.name}: Weyl determinant mismatch")
-    for i in range(raw.ambient):
-        if raw.gram[i][i] <= 0:
+    for x in raw.gram:
+        if x <= 0:
             raise InstabilityError(f"{raw.name}: metric not positive definite")
 
 
@@ -403,8 +373,9 @@ class GroupSpec:
 
 
 def _finish(raw: _RawGroup) -> GroupSpec:
-    _validate_raw(raw)
-    gram = np.array([[float(x) for x in row] for row in raw.gram])
+    weyl = _weyl_group(raw)
+    _validate_raw(raw, weyl)
+    gram = np.diag([float(x) for x in raw.gram])
     span = raw.simple_roots if raw.pos_roots else raw.weight_gens
     basis = []
     for v in span:
@@ -423,16 +394,9 @@ def _finish(raw: _RawGroup) -> GroupSpec:
     def coords(vec) -> np.ndarray:
         return coord_map @ np.array([float(x) for x in vec])
 
-    pos = (
-        np.array([coords(r) for r in raw.pos_roots])
-        if raw.pos_roots
-        else np.zeros((0, raw.rank))
-    )
-    simple = (
-        np.array([coords(r) for r in raw.simple_roots])
-        if raw.simple_roots
-        else np.zeros((0, raw.rank))
-    )
+    # reshape keeps the (0, rank) shape on tori, which have no roots
+    pos = np.array([coords(r) for r in raw.pos_roots]).reshape(-1, raw.rank)
+    simple = np.array([coords(r) for r in raw.simple_roots]).reshape(-1, raw.rank)
     rho_exact = raw.rho
     rho = coords(rho_exact)
     rho_nsq = float(_dot(raw.gram, rho_exact, rho_exact))
@@ -440,7 +404,7 @@ def _finish(raw: _RawGroup) -> GroupSpec:
     gb = TWO_PI * np.array([coords(g) for g in raw.gamma_gens])
 
     mats, signs = [], []
-    for m, sign in raw.weyl:
+    for m, sign in weyl:
         mf = np.array([[float(x) for x in row] for row in m])
         om = coord_map @ mf @ lift
         if not np.allclose(om @ om.T, np.eye(raw.rank), atol=1e-12):
@@ -484,21 +448,16 @@ def _finish(raw: _RawGroup) -> GroupSpec:
 _TORUS_RE = re.compile(r"^torus(\d+)$")
 
 
-@lru_cache(maxsize=None)
-def make_group(name: str) -> GroupSpec:
-    """Build (and cache) the catalog entry with the given name.
-
-    Valid names: ``torus<n>`` for n >= 1, ``su2``, ``so3``, ``su2xsu2``,
-    ``su3``.
-    """
+def _raw_group(name: str) -> _RawGroup:
+    """The exact catalog data behind ``make_group(name)``."""
     if name == "su2":
-        return _finish(_raw_rank1("su2", 2, Fraction(1, 2)))
+        return _raw_rank1("su2", 2, Fraction(1, 2))
     if name == "so3":
-        return _finish(_raw_rank1("so3", 1, 1))
+        return _raw_rank1("so3", 1, 1)
     if name == "su3":
-        return _finish(_raw_su3())
+        return _raw_su3()
     if name == "su2xsu2":
-        return _finish(_raw_product("su2xsu2", [_raw_rank1("su2", 2, Fraction(1, 2))] * 2))
+        return _raw_product("su2xsu2", [_raw_rank1("su2", 2, Fraction(1, 2))] * 2)
     m = _TORUS_RE.match(name)
     if m:
         n = int(m.group(1))
@@ -506,10 +465,20 @@ def make_group(name: str) -> GroupSpec:
             raise CatalogError("torus dimension must be >= 1")
         if n > 16:
             raise CatalogError("torus dimension capped at 16")
-        return _finish(_raw_torus(n))
+        return _raw_torus(n)
     raise CatalogError(
         f"unknown group {name!r}; expected torus<n>, su2, so3, su2xsu2 or su3"
     )
+
+
+@lru_cache(maxsize=None)
+def make_group(name: str) -> GroupSpec:
+    """Build (and cache) the catalog entry with the given name.
+
+    Valid names: ``torus<n>`` for n >= 1, ``su2``, ``so3``, ``su2xsu2``,
+    ``su3``.
+    """
+    return _finish(_raw_group(name))
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +551,8 @@ def _as_points(g: GroupSpec, H) -> tuple[np.ndarray, bool]:
 def wall_distance(g: GroupSpec, H) -> np.ndarray:
     """min over positive roots of |sin(alpha(H)/2)|; 1.0 for tori."""
     pts, single = _as_points(g, H)
-    if g.is_abelian:
-        out = np.ones(len(pts))
-    else:
-        a = pts @ g.positive_roots.T
-        out = np.abs(np.sin(a / 2.0)).min(axis=1)
+    a = pts @ g.positive_roots.T
+    out = np.abs(np.sin(a / 2.0)).min(axis=1, initial=1.0)
     return out[0] if single else out
 
 
@@ -594,34 +560,34 @@ def is_regular(g: GroupSpec, H, tol: float = 1e-8) -> bool:
     return bool(np.all(wall_distance(g, H) > tol))
 
 
+def _sin_over_y(y: np.ndarray, hyperbolic: bool = False) -> np.ndarray:
+    """sin(y)/y, or its continuation sinh(y)/y, elementwise.  The removable
+    singularity at 0 is filled with the series 1 -+ y^2/6 + y^4/120 where
+    |y| < _J_SERIES_CUT/2; the first dropped term is below 1e-29 there."""
+    small = np.abs(y) < _J_SERIES_CUT / 2.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = (np.sinh if hyperbolic else np.sin)(y) / np.where(small, 1.0, y)
+    ysq = y[small] ** 2 * (1.0 if hyperbolic else -1.0)
+    out[small] = 1.0 + ysq / 6.0 + ysq * ysq / 120.0
+    return out
+
+
 def j_compact(g: GroupSpec, H):
     """Analytic square root of det(d exp) along the Cartan subalgebra:
     the product over positive roots of sin(alpha(H)/2) / (alpha(H)/2).
 
-    Removable singularities at alpha(H) = 0 are filled with the Taylor
-    series of sin(y)/y once |alpha(H)| drops below 1e-4.  The value is 1 at
-    H = 0 and may be zero or negative outside the fundamental alcove.
+    Removable singularities at alpha(H) = 0 are filled by ``_sin_over_y``.
+    The value is 1 at H = 0 and on tori (an empty product), and may be zero
+    or negative outside the fundamental alcove.
     """
     pts, single = _as_points(g, H)
-    if g.is_abelian:
-        out = np.ones(len(pts))
-        return float(out[0]) if single else out
-    y = (pts @ g.positive_roots.T) / 2.0            # (P, m)
-    small = np.abs(y) < (_J_SERIES_CUT / 2.0)
-    ysq = y * y
-    series = 1.0 - ysq / 6.0 + ysq * ysq / 120.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(small, series, np.sin(y) / np.where(small, 1.0, y))
-    out = ratio.prod(axis=1)
+    out = _sin_over_y((pts @ g.positive_roots.T) / 2.0).prod(axis=1)
     return float(out[0]) if single else out
 
 
 def weyl_density(g: GroupSpec, H):
     """Weyl integration density |Delta(H)|^2 = prod 4 sin^2(alpha(H)/2)."""
     pts, single = _as_points(g, H)
-    if g.is_abelian:
-        out = np.ones(len(pts))
-        return float(out[0]) if single else out
     y = (pts @ g.positive_roots.T) / 2.0
     out = (4.0 * np.sin(y) ** 2).prod(axis=1)
     return float(out[0]) if single else out
@@ -629,8 +595,6 @@ def weyl_density(g: GroupSpec, H):
 
 def weyl_denominator(g: GroupSpec, points: np.ndarray) -> np.ndarray:
     """Complex Weyl denominator prod (e^{i a/2} - e^{-i a/2}) at each point."""
-    if g.is_abelian:
-        return np.ones(len(points), dtype=complex)
     y = (points @ g.positive_roots.T) / 2.0
     return (2j * np.sin(y)).prod(axis=1)
 
@@ -723,22 +687,18 @@ class CharacterTable:
         g = self.group
         points, single = _as_points(g, H)
         out = np.empty((len(self.weights), len(points)), dtype=complex)
-        if g.is_abelian:
-            out[:] = self._regular_values(points)
-        else:
-            dist = wall_distance(g, points)
-            ok = dist > _SINGULAR_SIN
-            if ok.any():
-                out[:, ok] = self._regular_values(points[ok])
-            bad = ~ok
-            if bad.any():
-                bad_pts = points[bad]
-                origin = np.max(np.abs(bad_pts), axis=1) < 1e-12
-                if origin.any():
-                    out[:, np.flatnonzero(bad)[origin]] = self._dims[:, None]
-                rest = np.flatnonzero(bad)[~origin]
-                if len(rest):
-                    out[:, rest] = self._singular_values(points[rest])
+        ok = wall_distance(g, points) > _SINGULAR_SIN
+        if ok.any():
+            out[:, ok] = self._regular_values(points[ok])
+        bad = ~ok
+        if bad.any():
+            bad_pts = points[bad]
+            origin = np.max(np.abs(bad_pts), axis=1) < 1e-12
+            if origin.any():
+                out[:, np.flatnonzero(bad)[origin]] = self._dims[:, None]
+            rest = np.flatnonzero(bad)[~origin]
+            if len(rest):
+                out[:, rest] = self._singular_values(points[rest])
         return out[:, 0] if single else out
 
 

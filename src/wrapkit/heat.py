@@ -21,6 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .groups import (
     GroupSpec,
     _as_points,
+    _sin_over_y,
     is_regular,
     make_group,
 )
@@ -193,16 +194,8 @@ def j_complex(gc: ComplexGroup, H):
     directions.  Equals 1 at H = 0 and is >= 1 everywhere."""
     g = gc.compact
     pts, single = _as_points(g, H)
-    if g.is_abelian:
-        out = np.ones(len(pts))
-        return float(out[0]) if single else out
     y = (pts @ g.positive_roots.T) / 2.0
-    small = np.abs(y) < 1e-4
-    ysq = y * y
-    series = 1.0 + ysq / 6.0 + ysq * ysq / 120.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(small, series, np.sinh(y) / np.where(small, 1.0, y))
-    out = ratio.prod(axis=1)
+    out = _sin_over_y(y, hyperbolic=True).prod(axis=1)
     return float(out[0]) if single else out
 
 

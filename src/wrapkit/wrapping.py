@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import jv
 
 from .errors import (
     ContractError,
@@ -67,9 +65,13 @@ class RadialFunction:
     |nu(x)| <= amp * e^{-||x||^2/(2 var)} and drives truncation radii;
     ``fourier_decay`` plays the same role on the transform side.
 
-    When both contracts are present they are spot-checked against each other
-    at construction by a direct Hankel-transform quadrature (an independent
-    route through scipy.integrate.quad), so a mismatched pair fails fast.
+    A Fourier contract passed to the constructor is always spot-checked
+    against the evaluation contract by a direct Hankel-transform quadrature
+    (an independent route through scipy.integrate.quad, imported only then),
+    so a mismatched pair fails fast.  The closed forms built here (mixtures,
+    hence Gaussians and convolutions, and their Laplacians) carry transforms
+    that are exact by construction; they skip the quadrature, and the test
+    suite checks each of them against it instead.
     """
 
     def __init__(
@@ -81,7 +83,6 @@ class RadialFunction:
         fourier_decay=None,
         components=None,
         label: str = "radial",
-        check: bool = True,
     ):
         if dim < 1:
             raise DomainError("dim must be a positive integer")
@@ -92,10 +93,17 @@ class RadialFunction:
         self.fourier_decay = fourier_decay
         self.components = tuple(components) if components is not None else None
         self.label = label
-        if check and self.fourier is not None:
+        if self.fourier is not None:
             self._check_fourier_pair()
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _closed_form(cls, fourier, **kwargs) -> "RadialFunction":
+        """Attach a transform that is exact by construction, unchecked."""
+        out = cls(**kwargs)
+        out.fourier = fourier
+        return out
 
     @classmethod
     def gaussian(cls, dim: int, t: float) -> "RadialFunction":
@@ -131,7 +139,7 @@ class RadialFunction:
 
         amp = sum(abs(w) * (TWO_PI * s) ** (-d / 2) for w, s in pairs)
         famp = sum(abs(w) for w, s in pairs)
-        return cls(
+        return cls._closed_form(
             dim=d,
             profile=profile,
             fourier=fourier,
@@ -183,7 +191,7 @@ class RadialFunction:
             for w, s in pairs
         )
         famp = sum(abs(w) for w, s in pairs) * (4 * d / min(s for _, s in pairs))
-        return RadialFunction(
+        return RadialFunction._closed_form(
             dim=d,
             profile=profile,
             fourier=fourier,
@@ -191,7 +199,6 @@ class RadialFunction:
             fourier_decay=(famp, min(s for _, s in pairs) / 2),
             components=None,
             label=f"lap({self.label})",
-            check=True,
         )
 
     # -- contracts ----------------------------------------------------------
@@ -204,6 +211,9 @@ class RadialFunction:
         """Spot check: nu_hat(q) must match the Hankel-transform quadrature
         (2 pi)^{d/2} q^{1-d/2} * int_0^inf profile(r^2) J_{d/2-1}(q r) r^{d/2} dr
         at two probe frequencies, to 1e-6 relative."""
+        from scipy.integrate import quad
+        from scipy.special import jv
+
         d = self.dim
         if self.decay is not None:
             amp, var = self.decay
@@ -375,8 +385,7 @@ def _lattice_radius(g: GroupSpec, nu: RadialFunction, center: np.ndarray, tol: f
         raise ContractError("wrap_lattice needs a decay bound on the radial function")
     amp, var = nu.decay
     m = g.n_positive_roots
-    wd = float(wall_distance(g, center)) if m else 1.0
-    wd = max(wd, 1e-12)
+    wd = max(float(wall_distance(g, center)), 1e-12)
     alpha_scale = 1.0
     for a in g.positive_roots:
         alpha_scale *= max(float(np.linalg.norm(a)) / 2.0, 1.0)

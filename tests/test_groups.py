@@ -5,12 +5,15 @@ The reference values here are either closed forms written out locally
 frozen from those same formulas; none are read back from the library.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wrapkit import groups
 from wrapkit import (
     CatalogError,
     DomainError,
@@ -20,15 +23,18 @@ from wrapkit import (
     as_real_checked,
     cell_grid,
     character,
+    complexify,
     dual_index,
     enumerate_weights,
     haar_quadrature,
     is_regular,
     j_compact,
+    j_complex,
     lattice_points,
     make_group,
     wall_distance,
     weight,
+    weyl_density,
     weyl_dimension,
 )
 
@@ -80,6 +86,42 @@ def test_catalog_invariants(name):
     for mat, sign in g.weyl_group:
         assert_allclose(mat @ mat.T, np.eye(rank), atol=1e-13)
         assert_allclose(np.linalg.det(mat), sign, atol=1e-12)
+
+
+# |W| from the README catalog table (the CATALOG column above), plus torus3
+WEYL_ORDERS = {**{name: row[3] for name, row in CATALOG.items()}, "torus3": 1}
+
+
+def _exact_det(m):
+    """Leibniz expansion over permutations, in Fractions."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_ORDERS))
+def test_generated_weyl_group_permutes_the_roots(name):
+    raw = groups._raw_group(name)
+    weyl = groups._weyl_group(raw)
+    assert len(weyl) == WEYL_ORDERS[name]
+    roots = set(raw.pos_roots) | {tuple(-x for x in r) for r in raw.pos_roots}
+    for mat, sign in weyl:
+        assert _exact_det(mat) == sign
+        images = {tuple(sum(a * b for a, b in zip(row, r)) for row in mat) for r in roots}
+        assert images == roots
+
+
+def test_su3_weyl_group_frozen_in_permutation_order():
+    # character sums run over W in this order, so their last bits depend on it
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    frozen = [tuple(tuple(Fraction(int(p[i] == j)) for j in range(3)) for i in range(3))
+              for p in perms]
+    weyl = groups._weyl_group(groups._raw_group("su3"))
+    assert [m for m, _ in weyl] == frozen
+    assert [s for _, s in weyl] == [1, -1, -1, 1, 1, -1]
 
 
 def test_make_group_is_cached_and_validates():
@@ -313,6 +355,28 @@ def test_j_compact_torus_is_one():
     t2 = make_group("torus2")
     pts = np.array([[0.0, 0.0], [1.3, -2.2]])
     assert_allclose(np.asarray(j_compact(t2, pts)), 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("hyperbolic", [False, True])
+def test_sin_over_y_is_continuous_across_its_series_cut(hyperbolic):
+    cut = groups._J_SERIES_CUT / 2.0
+    below, above = groups._sin_over_y(np.array([cut * (1 - 1e-9), cut * (1 + 1e-9)]),
+                                      hyperbolic)
+    assert abs(below - above) <= 1e-15 * abs(above)
+    fn = math.sinh if hyperbolic else math.sin
+    assert_allclose(above, fn(cut) / cut, rtol=1e-15)
+    assert groups._sin_over_y(np.zeros(1), hyperbolic)[0] == 1.0
+
+
+@pytest.mark.parametrize("name", ["torus1", "torus2", "torus3"])
+def test_root_products_are_exactly_one_on_tori(name):
+    g = make_group(name)
+    pts = np.random.default_rng(5).uniform(-7.0, 7.0, (6, g.rank))
+    for fn in (j_compact, weyl_density, wall_distance):
+        assert np.all(np.asarray(fn(g, pts)) == 1.0)
+        assert fn(g, pts[0]) == 1.0
+    assert np.all(np.asarray(j_complex(complexify(g), pts)) == 1.0)
+    assert np.all(groups.weyl_denominator(g, pts) == 1.0)
 
 
 def test_j_compact_su2_matches_dexp_determinant():

@@ -6,11 +6,16 @@ checked through identities that hold in exact arithmetic.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import wrapkit
 from wrapkit import (
     ContractError,
     DomainError,
@@ -71,6 +76,35 @@ def test_fourier_pair_cross_check_rejects_mismatch():
                        decay=(0.1, 1.0), fourier_decay=(1.0, 2.0))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 16])
+def test_closed_forms_pass_the_fourier_pair_check(d):
+    # the closed forms skip the Hankel quadrature at construction; run it here
+    forms = [RadialFunction.gaussian(d, 0.05), RadialFunction.gaussian(d, 2.5),
+             RadialFunction.mixture(d, [(0.6, 0.3), (0.4, 1.7)]),
+             RadialFunction.mixture(d, [(1.5, 0.1), (-0.5, 0.9)])]
+    forms.append(forms[2].convolve(forms[3]))
+    forms += [f.laplacian() for f in list(forms)]
+    for f in forms:
+        f._check_fourier_pair()
+
+
+def test_closed_forms_and_cli_never_import_scipy():
+    # scipy is needed only to check a Fourier pair that a caller supplies
+    script = (
+        "import os, sys, wrapkit, wrapkit.cli\n"
+        "assert wrapkit.cli.main(['catalog', '--out', os.devnull]) == 0\n"
+        "wrapkit.RadialFunction.gaussian(3, 0.5).laplacian()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(wrapkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_mixture_convolution_adds_variances():
     a = RadialFunction.gaussian(3, 0.4)
     b = RadialFunction.gaussian(3, 0.6)
@@ -99,8 +133,7 @@ def test_laplacian_against_finite_differences():
 
 
 def test_laplacian_needs_mixture_form():
-    bare = RadialFunction(dim=2, profile=lambda r2: np.exp(-np.asarray(r2)),
-                          check=False)
+    bare = RadialFunction(dim=2, profile=lambda r2: np.exp(-np.asarray(r2)))
     with pytest.raises(ContractError, match="mixture"):
         bare.laplacian()
     with pytest.raises(ContractError, match="Fourier"):
@@ -279,7 +312,7 @@ def test_wrap_lattice_rejects_lying_decay_bound():
         return (TWO_PI * 30.0) ** (-d / 2) * np.exp(-np.asarray(r2) / 60.0)
 
     liar = RadialFunction(dim=d, profile=profile,
-                          decay=((TWO_PI * 30.0) ** (-d / 2), 2.0), check=False)
+                          decay=((TWO_PI * 30.0) ** (-d / 2), 2.0))
     with pytest.raises(InstabilityError, match="ring"):
         wrap_lattice(make_group("su2"), liar, [3.0])
 
@@ -305,5 +338,4 @@ def test_auto_cutoff_tightens_with_tolerance():
     pts = alcove_points(su2, 8)
     assert np.max(np.abs(f_lo.evaluate(pts) - f_hi.evaluate(pts))) < 1e-12
     with pytest.raises(ContractError):
-        auto_cutoff(su2, RadialFunction(dim=3, profile=nu.profile, check=False),
-                    1e-8)
+        auto_cutoff(su2, RadialFunction(dim=3, profile=nu.profile), 1e-8)
