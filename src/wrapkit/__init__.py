@@ -20,7 +20,6 @@ from .groups import (
     CharacterTable,
     dual_index,
     enumerate_weights,
-    haar_quadrature,
     is_regular,
     j_compact,
     lattice_points,
@@ -67,7 +66,6 @@ from .brownian import (
     feynman_kac_weight,
     mc_expect_central,
     real_character,
-    sample_flat_endpoint,
     sample_group_endpoint,
     weak_order_ratio,
     wrap_bm_check,

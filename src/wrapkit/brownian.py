@@ -8,7 +8,9 @@ metric this scheme needs no drift correction and converges weakly at first
 order to the process generated by half the group Laplacian (the plain heat
 semigroup).
 
-Each factor kind has one engine.  so3 has none of its own: SO(3) is SU(2)
+Each factor kind has one engine: tori, su2, and one matrix engine for every
+su<n> with n >= 3 (X_i = -i L_i / 2 from the generalised Gell-Mann
+matrices).  so3 has none of its own: SO(3) is SU(2)
 divided by its centre, so so3 paths are simulated on SU(2) and mapped
 through the covering map U -> Ad U.  They draw the same seeded increments
 as before, but so3 Monte Carlo reports may differ from wrapkit 0.1.0 in
@@ -36,8 +38,8 @@ from .errors import (
     ResolutionError,
     ResourceLimitError,
 )
-from .groups import (CharacterTable, GroupSpec, TWO_PI, _sin_over_y, j_compact,
-                     make_group, weight, weyl_density)
+from .groups import (CharacterTable, GroupSpec, TWO_PI, _sin_over_y,
+                     fundamental_intervals, j_compact, make_group, weight, weyl_density)
 from .heat import heat_coefficients
 from .wrapping import CentralFunction
 
@@ -166,23 +168,21 @@ def _reduce_moments(parts, seed: int) -> McEstimate:
 # coordinates and the projection of algebra points; an engine built with
 # count=0 serves those static facts alone.
 
-@lru_cache(maxsize=1)
-def _gell_mann() -> np.ndarray:
-    """The eight standard 3x3 Hermitian generators, tr(L_a L_b) = 2 delta."""
-    L = np.zeros((8, 3, 3), dtype=complex)
-    L[0, 0, 1] = L[0, 1, 0] = 1
-    L[1, 0, 1] = -1j
-    L[1, 1, 0] = 1j
-    L[2, 0, 0] = 1
-    L[2, 1, 1] = -1
-    L[3, 0, 2] = L[3, 2, 0] = 1
-    L[4, 0, 2] = -1j
-    L[4, 2, 0] = 1j
-    L[5, 1, 2] = L[5, 2, 1] = 1
-    L[6, 1, 2] = -1j
-    L[6, 2, 1] = 1j
-    L[7] = np.diag([1, 1, -2]) / math.sqrt(3)
-    return L
+@lru_cache(maxsize=None)
+def _generators(n: int) -> np.ndarray:
+    """The n^2 - 1 generalised Gell-Mann matrices, tr(L_a L_b) = 2 delta: for
+    k = 1..n-1 the symmetric and antisymmetric (i, k) pairs, i < k, then
+    diag(1, .., 1, -k, 0, ..) / sqrt(k(k+1)/2).  n = 3 gives the standard eight."""
+    gens = []
+    for k in range(1, n):
+        for i in range(k):
+            sym = np.zeros((n, n), dtype=complex)
+            sym[i, k] = sym[k, i] = 1
+            anti = np.zeros((n, n), dtype=complex)
+            anti[i, k], anti[k, i] = -1j, 1j
+            gens += [sym, anti]
+        gens.append(np.diag([1] * k + [-k] + [0] * (n - k - 1)) / math.sqrt(k * (k + 1) / 2))
+    return np.array(gens, dtype=complex)
 
 
 class _TorusEngine:
@@ -298,17 +298,17 @@ class _So3Engine(_Su2Engine):
         return np.arctan2(anti / math.sqrt(2.0), tr - 1.0)[:, None]
 
 
-class _Su3Engine:
-    """SU(3) elements as 3x3 complex matrices."""
-
-    block = 3
+class _SunEngine:
+    """SU(n), n >= 3, as n x n complex matrices."""
 
     def __init__(self, factor: GroupSpec, count: int):
         self.factor = factor
-        self.m = np.broadcast_to(np.eye(3, dtype=complex), (count, 3, 3)).copy()
+        self.block = factor.rank + 1
+        self.m = np.broadcast_to(np.eye(self.block, dtype=complex),
+                                 (count, self.block, self.block)).copy()
 
     def step(self, z: np.ndarray, sqh: float) -> None:
-        ham = np.einsum("ca,aij->cij", z, _gell_mann()) * (0.5 * sqh)
+        ham = np.einsum("ca,aij->cij", z, _generators(self.block)) * (0.5 * sqh)
         w, v = np.linalg.eigh(ham)
         phase = np.exp(-1j * w)
         rot = np.einsum("cik,ck,cjk->cij", v, phase, np.conj(v))
@@ -316,7 +316,7 @@ class _Su3Engine:
 
     def drift(self) -> float:
         gram = self.m @ np.conj(np.transpose(self.m, (0, 2, 1)))
-        return float(np.max(np.abs(gram - np.eye(3)[None])))
+        return float(np.max(np.abs(gram - np.eye(self.block)[None])))
 
     def renormalize(self) -> None:
         u, _, vt = np.linalg.svd(self.m)
@@ -329,26 +329,26 @@ class _Su3Engine:
         return self.m
 
     def fold(self, m: np.ndarray) -> np.ndarray:
-        """Alcove representative from the eigenvalues of SU(3) matrices.
+        """Alcove representative from the eigenvalues of SU(n) matrices.
 
-        Phases are taken in (-pi, pi], their 2*pi*k total defect is absorbed
-        into single entries, then the affine reduction a_1 - a_3 <= 2*pi is
+        Phases are sorted descending in (-pi, pi]; their total 2*pi*k, k in
+        {-floor((n-1)/2), .., floor(n/2)}, is absorbed into the k largest (or
+        -k smallest) entries, then the affine reduction a_1 - a_n <= 2*pi is
         applied (each pass strictly decreases sum a^2, so it terminates).
         Ambient convention: exp(H) = diag(e^{i a_j}) for H with coordinates
         a; entries are kept in descending (positive chamber) order."""
-        a = np.angle(np.linalg.eigvals(m))
-        k = np.rint(a.sum(axis=1) / TWO_PI).astype(int)
-        for row in np.flatnonzero(k == 1):
-            a[row, np.argmax(a[row])] -= TWO_PI
-        for row in np.flatnonzero(k == -1):
-            a[row, np.argmin(a[row])] += TWO_PI
+        n = self.block
+        a = -np.sort(-np.angle(np.linalg.eigvals(m)), axis=1)
+        k = np.rint(a.sum(axis=1) / TWO_PI).astype(int)[:, None]
+        cols = np.arange(n)
+        a = a - TWO_PI * (cols < k) + TWO_PI * (cols >= n + k)
         a = -np.sort(-a, axis=1)
-        for _ in range(8):
-            over = a[:, 0] - a[:, 2] > TWO_PI + 1e-12
+        for _ in range(4 * n):
+            over = a[:, 0] - a[:, -1] > TWO_PI + 1e-12
             if not over.any():
                 break
             a[over, 0] -= TWO_PI
-            a[over, 2] += TWO_PI
+            a[over, -1] += TWO_PI
             a[over] = -np.sort(-a[over], axis=1)
         else:
             raise InstabilityError(
@@ -359,12 +359,13 @@ class _Su3Engine:
         # Z = sum z_a X_a with X_a = -i lambda_a / 2 is conjugate to
         # diag(i a) for a = minus the (ascending) eigenvalues of the
         # Hermitian part, which lands a in descending chamber order.
-        ham = np.einsum("ca,aij->cij", z, _gell_mann()) * 0.5
+        ham = np.einsum("ca,aij->cij", z, _generators(self.block)) * 0.5
         return -np.linalg.eigvalsh(ham) @ self.factor._coord_map.T
 
 
+# su2 and so3 ride the quaternion engine; every other su<n> the matrix one
 _ENGINES = {"torus": _TorusEngine, "su2": _Su2Engine, "so3": _So3Engine,
-            "su3": _Su3Engine}
+            "su": _SunEngine}
 
 
 def _engines(g: GroupSpec, count: int) -> list:
@@ -442,13 +443,6 @@ def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # public sampling operations
 # ---------------------------------------------------------------------------
-
-def sample_flat_endpoint(cfg: SdeConfig, dim: int) -> np.ndarray:
-    """Exact Gaussian endpoints N(0, t I_dim) of flat Brownian motion, one
-    row per path; chunked and seeded like every other estimator."""
-    parts = _map_chunks(cfg, lambda i, c: _flat_draw(cfg, i, c, dim), threads=None)
-    return np.concatenate(parts, axis=0)
-
 
 def sample_group_endpoint(cfg: SdeConfig, threads: int | None = None) -> np.ndarray:
     """Matrix endpoints of the geodesic Euler scheme at time t, one matrix
@@ -579,17 +573,6 @@ def wrap_bm_check(
 # density comparison and weak-order diagnostics
 # ---------------------------------------------------------------------------
 
-def _alcove_interval(g: GroupSpec) -> tuple[float, float]:
-    """The rank-one alcove: half the kernel lattice step, one-sided when a
-    root's Weyl reflection folds the circle."""
-    if g.rank != 1:
-        raise DomainError(
-            f"empirical density binning needs a rank-one group, not {g.name}"
-        )
-    half = abs(float(g.gamma_basis[0, 0])) / 2.0
-    return (0.0, half) if g.n_positive_roots else (-half, half)
-
-
 def empirical_density_table(
     g: GroupSpec, cfg: SdeConfig, bins: int, threads: int | None = None
 ):
@@ -609,7 +592,11 @@ def empirical_density_table(
             "density binning needs t >= 0.25; shorter horizons concentrate "
             "too sharply for histogram comparison"
         )
-    lo, hi = _alcove_interval(g)
+    if g.rank != 1:
+        raise DomainError(
+            f"empirical density binning needs a rank-one group, not {g.name}"
+        )
+    (lo, hi), = fundamental_intervals(g)
     edges = np.linspace(lo, hi, bins + 1)
 
     nodes, gl_w = np.polynomial.legendre.leggauss(16)

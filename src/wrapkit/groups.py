@@ -1,7 +1,8 @@
 """Root data, characters and radial special functions for a catalog of
 compact connected Lie groups.
 
-The catalog covers torus(n), su2, so3, su2xsu2 and su3.  Every entry carries
+The catalog covers torus<n> (1 <= n <= 16), su<n> (2 <= n <= 5, one root-data
+formula for A_{n-1}), so3 = SU(2)/{+-1} and su2xsu2.  Every entry carries
 one fixed Ad-invariant inner product: the negative trace form of the defining
 representation, scaled so that orthonormal coordinates on the Cartan
 subalgebra measure radians along coroot directions.  With this scale the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,10 +71,13 @@ def _dot(gram, u, v) -> Fraction:
     return sum(gram[i] * u[i] * v[i] for i in range(len(u)))
 
 
+# Weyl matrices are sparse (permutations, block diagonal on products), so
+# both skip zero entries
 def _matmul(a, b):
     n = len(a)
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        tuple(sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), Fraction(0))
+              for j in range(n))
         for i in range(n)
     )
 
@@ -84,8 +88,9 @@ def _det(m) -> Fraction:
         return m[0][0]
     out = Fraction(0)
     for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        out += (-1) ** j * m[0][j] * _det(minor)
+        if m[0][j]:
+            minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+            out += (-1) ** j * m[0][j] * _det(minor)
     return out
 
 
@@ -119,21 +124,6 @@ class _RawGroup:
         return tuple(half * sum(r[i] for r in self.pos_roots) for i in range(self.ambient))
 
 
-def _raw_rank1(name: str, gamma_step, weight_step) -> _RawGroup:
-    root = (_fvec(1),)
-    return _RawGroup(
-        name=name,
-        ambient=1,
-        gram=_fvec(1),
-        pos_roots=root,
-        simple_roots=root,
-        weight_gens=(_fvec(weight_step),),
-        gamma_gens=(_fvec(gamma_step),),
-        factor_names=(name,),
-        factor_slices=((0, 1),),
-    )
-
-
 def _raw_torus(n: int) -> _RawGroup:
     gens = tuple(
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
@@ -152,27 +142,29 @@ def _raw_torus(n: int) -> _RawGroup:
     )
 
 
-def _raw_su3() -> _RawGroup:
+def _raw_sun(n: int) -> _RawGroup:
+    """SU(n), root system A_{n-1}, in R^n with metric 2 * identity: positive
+    roots (e_i - e_j)/2 listed by height (simple roots first), weight
+    generators (e_1 + ... + e_k - (k/n) * 1)/2 and Gamma/2pi spanned by
+    e_i - e_{i+1}."""
+    def vec(entries: dict) -> tuple[Fraction, ...]:
+        return tuple(Fraction(entries.get(i, 0)) for i in range(n))
+
     half = Fraction(1, 2)
-    sixth = Fraction(1, 6)
-    pos = (
-        _fvec(half, -half, 0),
-        _fvec(0, half, -half),
-        _fvec(half, 0, -half),
-    )
+    pos = tuple(vec({i: half, i + h: -half}) for h in range(1, n) for i in range(n - h))
     return _RawGroup(
-        name="su3",
-        ambient=3,
-        gram=_fvec(2, 2, 2),
+        name=f"su{n}",
+        ambient=n,
+        gram=_fvec(*[2] * n),
         pos_roots=pos,
-        simple_roots=pos[:2],
-        weight_gens=(
-            _fvec(2 * sixth, -sixth, -sixth),
-            _fvec(sixth, sixth, -2 * sixth),
+        simple_roots=pos[: n - 1],
+        weight_gens=tuple(
+            vec({i: half * (int(i < k) - Fraction(k, n)) for i in range(n)})
+            for k in range(1, n)
         ),
-        gamma_gens=(_fvec(1, -1, 0), _fvec(0, 1, -1)),
-        factor_names=("su3",),
-        factor_slices=((0, 2),),
+        gamma_gens=tuple(vec({i: 1, i + 1: -1}) for i in range(n - 1)),
+        factor_names=(f"su{n}",),
+        factor_slices=((0, n - 1),),
     )
 
 
@@ -445,38 +437,44 @@ def _finish(raw: _RawGroup) -> GroupSpec:
     )
 
 
-_TORUS_RE = re.compile(r"^torus(\d+)$")
+# torus<n> and su<n>; a leading zero would give one group a second name
+_FAMILY_RE = re.compile(r"(torus|su)([1-9][0-9]*)")
 
 
 def _raw_group(name: str) -> _RawGroup:
     """The exact catalog data behind ``make_group(name)``."""
-    if name == "su2":
-        return _raw_rank1("su2", 2, Fraction(1, 2))
     if name == "so3":
-        return _raw_rank1("so3", 1, 1)
-    if name == "su3":
-        return _raw_su3()
+        # SU(2)/{+-1}: weights are the root lattice, Gamma is 2pi times the
+        # coweight lattice (twice the su2 weight generator)
+        su2 = _raw_sun(2)
+        return replace(su2, name="so3", weight_gens=su2.simple_roots,
+                       gamma_gens=tuple(tuple(2 * x for x in w) for w in su2.weight_gens),
+                       factor_names=("so3",))
     if name == "su2xsu2":
-        return _raw_product("su2xsu2", [_raw_rank1("su2", 2, Fraction(1, 2))] * 2)
-    m = _TORUS_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise CatalogError("torus dimension must be >= 1")
+        return _raw_product("su2xsu2", [_raw_sun(2)] * 2)
+    m = _FAMILY_RE.fullmatch(name)
+    if m is None:
+        raise CatalogError(
+            f"unknown group {name!r}; expected torus<n>, su<n>, so3 or su2xsu2"
+        )
+    n = int(m.group(2))
+    if m.group(1) == "torus":
         if n > 16:
             raise CatalogError("torus dimension capped at 16")
         return _raw_torus(n)
-    raise CatalogError(
-        f"unknown group {name!r}; expected torus<n>, su2, so3, su2xsu2 or su3"
-    )
+    if not 2 <= n <= 5:
+        # |W| = n! enters every character sum and the rational closure;
+        # n = 6 would already have 720 elements
+        raise CatalogError("su<n> needs 2 <= n <= 5")
+    return _raw_sun(n)
 
 
 @lru_cache(maxsize=None)
 def make_group(name: str) -> GroupSpec:
     """Build (and cache) the catalog entry with the given name.
 
-    Valid names: ``torus<n>`` for n >= 1, ``su2``, ``so3``, ``su2xsu2``,
-    ``su3``.
+    Valid names: ``torus<n>`` for 1 <= n <= 16, ``su<n>`` for 2 <= n <= 5,
+    ``so3`` and ``su2xsu2``, with no leading zeros.
     """
     return _finish(_raw_group(name))
 
@@ -812,72 +810,64 @@ def cell_grid(g: GroupSpec, n: int) -> np.ndarray:
     return idx @ g.gamma_basis
 
 
+def fundamental_intervals(g: GroupSpec) -> list[tuple[float, float]]:
+    """Per axis, the fundamental domain of the affine Weyl group W x| Gamma
+    on a torus or rank-one group: the centred cell [-|gamma|/2, |gamma|/2] of
+    the lattice axis, or its half [0, |gamma|/2] when a root's reflection
+    folds the circle."""
+    if g.rank > 1 and not g.is_abelian:
+        raise DomainError(f"{g.name}: no interval domain above rank one")
+    halves = np.abs(np.diagonal(g.gamma_basis)) / 2.0
+    return [(0.0 if g.n_positive_roots else -h, h) for h in halves]
+
+
+def _simplex_points(g: GroupSpec, count: int, margin: float) -> np.ndarray:
+    """``count`` interior points of the alcove of a simple group, the simplex
+    with vertices 0 and 2pi w_i / m_i (w the dual basis of the simple roots,
+    m the marks of the highest root): integer barycentric weights at the
+    smallest depth that has enough, pulled in by the margin."""
+    r = g.rank
+    coweights = np.linalg.inv(g.simple_roots).T
+    coeffs = g.positive_roots @ coweights.T                # roots in simple roots
+    marks = np.rint(coeffs[np.argmax(coeffs.sum(axis=1))])
+    verts = np.vstack([np.zeros(r), TWO_PI * coweights / marks[:, None]])
+    depth = r
+    while math.comb(depth, r) < count:
+        depth += 1
+    sums = np.array(list(itertools.islice(itertools.combinations(range(1, depth + 1), r), count)))
+    bary = np.column_stack([np.diff(sums, axis=1, prepend=0), depth + 2 - sums[:, -1]])
+    bary = bary / bary.sum(axis=1, keepdims=True)
+    bary = margin / (r + 1) + (1 - margin) * bary
+    bary /= bary.sum(axis=1, keepdims=True)
+    return bary @ verts
+
+
 def alcove_points(g: GroupSpec, count: int, margin: float = 0.04) -> np.ndarray:
     """Deterministic spread of ``count`` regular points inside the
-    fundamental alcove (fundamental cell for tori), kept off every wall by
-    the given relative margin."""
+    fundamental domain of W x| Gamma (the alcove; the centred cell on tori),
+    kept off every wall by the given relative margin.
+
+    Each factor contributes pieces: one interval per torus axis or rank-one
+    factor (``fundamental_intervals``) and one simplex per simple factor of
+    higher rank.  Piece k is reordered by a step coprime to ``count`` drawn
+    from its own seed, so that the pieces of a product do not move together.
+    """
     if count < 1:
         raise DomainError("count must be >= 1")
     if not 0 < margin < 0.5:
         raise DomainError("margin must be in (0, 0.5)")
-
-    def interval(lo, hi, k):
-        w = hi - lo
-        return lo + w * (margin + (1 - 2 * margin) * (np.arange(k) + 0.5) / k)
-
-    def coprime_step(seed, k):
-        step = seed
-        while math.gcd(step, k) != 1:
+    spread = margin + (1 - 2 * margin) * (np.arange(count) + 0.5) / count
+    pieces = []
+    for name in g.factor_names:
+        f = make_group(name)
+        if f.rank > 1 and not f.is_abelian:
+            pieces.append(_simplex_points(f, count, margin))
+        else:
+            pieces += [(lo + (hi - lo) * spread)[:, None] for lo, hi in fundamental_intervals(f)]
+    seeds = [1, 3, 7, 11, 17, 23, 29, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    for k, piece in enumerate(pieces):
+        step = seeds[k % len(seeds)]
+        while math.gcd(step, count) != 1:
             step += 1
-        return step
-
-    if g.name == "su2":
-        return interval(0.0, TWO_PI, count)[:, None]
-    if g.name == "so3":
-        return interval(0.0, math.pi, count)[:, None]
-    if g.name == "su2xsu2":
-        a = interval(0.0, TWO_PI, count)
-        step = coprime_step(7, count)
-        b = interval(0.0, TWO_PI, count)[(step * np.arange(count) + 3) % count]
-        return np.column_stack([a, b])
-    if g.name == "su3":
-        verts = np.array(
-            [[0.0, 0.0], 2 * TWO_PI * g.weight_basis[0], 2 * TWO_PI * g.weight_basis[1]]
-        )
-        bary = []
-        depth = 2
-        while (depth - 1) * depth // 2 < count:
-            depth += 1
-        for i in range(1, depth):
-            for j in range(1, depth - i + 1):
-                k = depth + 2 - i - j
-                bary.append((i, j, k))
-        bary = np.array(bary[:count], dtype=float)
-        bary /= bary.sum(axis=1, keepdims=True)
-        bary = margin / 3 + (1 - margin) * bary
-        bary /= bary.sum(axis=1, keepdims=True)
-        return bary @ verts
-    if g.is_abelian:
-        pts = np.empty((count, g.rank))
-        seeds = [1, 3, 7, 11, 17, 23, 29, 37, 41, 43, 47, 53, 59, 61, 67, 71]
-        for jdim in range(g.rank):
-            step = coprime_step(seeds[jdim % len(seeds)], count)
-            perm = (step * np.arange(count)) % count
-            pts[:, jdim] = -math.pi + TWO_PI * (
-                margin + (1 - 2 * margin) * (perm + 0.5) / count
-            )
-        return pts
-    raise CatalogError(f"no alcove sampler for {g.name}")
-
-
-def haar_quadrature(g: GroupSpec, values: np.ndarray) -> float:
-    """Mean of ``values * weyl_density`` over a cell grid, divided by |W|:
-    the probability-Haar integral of the central function the values came
-    from.  ``values`` must be sampled on ``cell_grid(g, n)`` in order."""
-    n_pts = len(values)
-    n = round(n_pts ** (1.0 / g.rank))
-    if n ** g.rank != n_pts:
-        raise DomainError("values are not a full cell grid")
-    grid = cell_grid(g, n)
-    dens = weyl_density(g, grid)
-    return float(np.mean(values * dens) / g.weyl_order)
+        pieces[k] = piece[(step * np.arange(count)) % count]
+    return np.concatenate(pieces, axis=1)

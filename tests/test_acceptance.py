@@ -208,6 +208,37 @@ def test_criterion_8_complex_group_closed_form():
     assert elapsed < 1.0
 
 
+def test_su4_meets_criteria_1_3_4():
+    # su4 is not hand-listed anywhere: the same tolerances as criteria 1, 3
+    # and 4, reached from the generic A_{n-1} root data
+    g = make_group("su4")
+    pts = alcove_points(g, 20)
+    worst1 = worst3 = 0.0
+    for t in (0.5, 1.0):
+        spectral = np.atleast_1d(spectral_heat_kernel(g, pts, t, True))
+        wrapped = np.atleast_1d(wrapped_heat_kernel(g, pts, t))
+        worst1 = max(worst1, float(np.max(np.abs(spectral - wrapped))))
+        nu = RadialFunction.gaussian(g.dim, t)
+        worst3 = max(worst3, wraplap_check(g, nu, auto_cutoff(g, nu, 1e-10)))
+    coeff_gap, quad_gap = semigroup_gap(g, 0.5, 0.5, grid_points=32)
+    assert worst1 < 1e-8
+    assert worst3 < 1e-12
+    assert coeff_gap < 1e-12
+    assert quad_gap < 1e-6
+
+
+def test_su4_wrap_bm_check_and_catalog_row(tmp_path):
+    out = tmp_path / "su4.csv"
+    code = cli.main(["wrap-bm-check", "--group", "su4", "--t", "0.5",
+                     "--step", "5e-3", "--paths", "2000", "--seed", str(SEED),
+                     "--out", str(out)])
+    text = out.read_text()
+    assert code == 0 and "# pass=true" in text
+    out = tmp_path / "catalog.csv"
+    assert cli.main(["catalog", "--group", "su4", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("su4,3,15,6,24,false,2.5,")
+
+
 def _determinism_runs():
     runs = []
     for name in ("torus1", "torus2", "su2", "so3", "su2xsu2"):

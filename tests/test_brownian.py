@@ -17,6 +17,7 @@ from wrapkit import (
     ResolutionError,
     ResourceLimitError,
     SdeConfig,
+    alcove_points,
     brownian,
     character,
     conjugacy_coordinate,
@@ -26,13 +27,19 @@ from wrapkit import (
     make_group,
     mc_expect_central,
     real_character,
-    sample_flat_endpoint,
     sample_group_endpoint,
     weak_order_ratio,
     wrap_bm_check,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def _flat_endpoints(cfg, dim, threads=None):
+    """Every chunk's exact N(0, t I_dim) flat endpoints, in chunk order."""
+    parts = brownian._map_chunks(
+        cfg, lambda i, c: brownian._flat_draw(cfg, i, c, dim), threads)
+    return np.concatenate(parts, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +95,8 @@ def test_runs_are_bit_reproducible():
 def test_flat_endpoints_reproducible_and_independent_of_group_stream():
     su2 = make_group("su2")
     cfg = SdeConfig(group=su2, t=0.7, step=5e-3, paths=5000, seed=21)
-    x1 = sample_flat_endpoint(cfg, 3)
-    x2 = sample_flat_endpoint(cfg, 3)
+    x1 = _flat_endpoints(cfg, 3, threads=1)
+    x2 = _flat_endpoints(cfg, 3, threads=2)
     assert np.array_equal(x1, x2)
     # group endpoints for the same config come from a distinct substream
     g1 = sample_group_endpoint(cfg)
@@ -105,7 +112,7 @@ def test_flat_endpoint_moments_and_characteristic_function():
     t1 = make_group("torus1")
     t = 0.8
     cfg = SdeConfig(group=t1, t=t, step=1e-2, paths=60000, seed=3)
-    x = sample_flat_endpoint(cfg, 2)
+    x = _flat_endpoints(cfg, 2)
     assert x.shape == (60000, 2)
     n = len(x)
     assert np.max(np.abs(x.mean(axis=0))) < 4 * math.sqrt(t / n)
@@ -209,7 +216,7 @@ def test_conjugacy_coordinate_is_conjugation_invariant():
 
 
 @pytest.mark.parametrize(
-    "name", ["torus1", "torus2", "su2", "so3", "su2xsu2", "su3"])
+    "name", ["torus1", "torus2", "su2", "so3", "su2xsu2", "su3", "su4"])
 def test_matrix_fold_matches_engine_fold(name):
     # the fold conjugacy_coordinate applies to endpoint matrices and the one
     # each engine applies to its own path state must name the same point
@@ -228,6 +235,58 @@ def test_matrix_fold_matches_engine_fold(name):
         assert np.isrealobj(mats)
         assert np.max(np.abs(mats @ np.transpose(mats, (0, 2, 1)) - np.eye(3))) < 1e-12
         assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-12
+
+
+def _exp_diag(g, H):
+    """exp(H) in SU(n) as diag(e^{i a}): alpha_i(H) = a_i - a_{i+1}, sum a = 0."""
+    d = np.atleast_2d(H) @ g.simple_roots.T
+    a = np.concatenate([np.zeros((len(d), 1)), -np.cumsum(d, axis=1)], axis=1)
+    a -= a.mean(axis=1, keepdims=True)
+    return np.stack([np.diag(np.exp(1j * row)) for row in a])
+
+
+@pytest.mark.parametrize("name", ["su3", "su4"])
+def test_conjugacy_coordinate_returns_alcove_points(name):
+    g = make_group(name)
+    n = g.rank + 1
+    # alcove points plus one point with phase defect -1 and its mirror (+1)
+    a = np.array({3: [3.5, -1.0, -2.5], 4: [3.5, 0.5, -1.5, -2.5]}[n])
+    extra = [np.linalg.solve(g.simple_roots, -np.diff(b)) for b in (a, -a[::-1])]
+    pts = np.vstack([alcove_points(g, 20), *extra])
+    phases = np.angle(np.linalg.eigvals(_exp_diag(g, pts)))
+    assert set(np.rint(phases.sum(axis=1) / TWO_PI).astype(int)) == {-1, 0, 1}
+    q, r = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n, 2)) @ [1, 1j])
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    w = w / np.linalg.det(w) ** (1 / n)
+    x = w @ _exp_diag(g, pts) @ np.conj(w.T)
+    assert_allclose(conjugacy_coordinate(g, x), pts, atol=1e-10)
+    if n == 4:
+        # -I has all phases at pi: the defect k = 2 lands on the vertex w_2
+        vertex = TWO_PI * np.linalg.inv(g.simple_roots)[:, 1]
+        assert_allclose(conjugacy_coordinate(g, -np.eye(4)), vertex, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generalised_gell_mann_generators(n):
+    gens = brownian._generators(n)
+    assert gens.shape == (n * n - 1, n, n)
+    assert np.array_equal(gens, np.conj(np.transpose(gens, (0, 2, 1))))
+    assert_allclose(np.einsum("aii->a", gens), 0.0, atol=1e-15)
+    assert_allclose(np.einsum("aij,bji->ab", gens, gens), 2.0 * np.eye(n * n - 1),
+                    atol=1e-14)
+    if n == 3:
+        s3 = 1 / math.sqrt(3)
+        frozen = np.array([
+            [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+            [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+            [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+            [[0, 0, -1j], [0, 0, 0], [1j, 0, 0]],
+            [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
+            [[0, 0, 0], [0, 0, -1j], [0, 1j, 0]],
+            [[s3, 0, 0], [0, s3, 0], [0, 0, -2 * s3]],
+        ], dtype=complex)
+        assert gens.tobytes() == frozen.tobytes()
 
 
 @pytest.mark.parametrize("angle", [1e-4, 1e-6, 1e-8])

@@ -26,7 +26,7 @@ from wrapkit import (
     complexify,
     dual_index,
     enumerate_weights,
-    haar_quadrature,
+    fourier_coefficients,
     is_regular,
     j_compact,
     j_complex,
@@ -59,10 +59,14 @@ CATALOG = {
     "su2xsu2": (2, 6, 2, 4, 16 * math.pi**2, 256 * math.pi**4),
     "su3": (2, 8, 3, 6, 8 * math.sqrt(3) * math.pi**2,
             256 * math.sqrt(3) * math.pi**5),
+    # sqrt(n) (2pi)^((n^2+n-2)/2) / prod k! for the metric -tr, times
+    # 2^(dim/2) for -2 tr; the cell is (2pi)^3 sqrt(det 2 * Cartan)
+    "su4": (3, 15, 6, 24, 32 * math.sqrt(2) * math.pi**3,
+            2 * TWO_PI**9 / 12 * 2**7.5),
 }
 
 RHO_NORM_SQ = {"torus1": 0.0, "torus2": 0.0, "su2": 0.25, "so3": 0.25,
-               "su2xsu2": 0.5, "su3": 1.0}
+               "su2xsu2": 0.5, "su3": 1.0, "su4": 2.5}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -128,6 +132,37 @@ def test_make_group_is_cached_and_validates():
     assert make_group("su2") is make_group("su2")
     with pytest.raises(CatalogError):
         make_group("e8")
+
+
+def test_group_names_are_canonical():
+    # one name per group: an alias would build a second GroupSpec
+    for name in ("torus02", "su03", "torus0", "su1", "su6", "su10", "torus17", "su"):
+        with pytest.raises(CatalogError):
+            make_group(name)
+    su4 = make_group("su4")
+    assert su4 is make_group("su4") and su4.name == "su4"
+    assert (su4.rank, su4.dim, su4.weyl_order) == (3, 15, 24)
+    assert_allclose(su4.rho_norm_sq, 2.5, rtol=1e-15)
+
+
+def test_sun_root_data_matches_the_hand_tables():
+    f = Fraction
+    h, s = f(1, 2), f(1, 6)
+    raw = groups._raw_sun(3)
+    # the su3 data as it was written out by hand
+    assert raw.gram == (2, 2, 2)
+    assert raw.pos_roots == ((h, -h, 0), (0, h, -h), (h, 0, -h))
+    assert raw.simple_roots == raw.pos_roots[:2]
+    assert raw.weight_gens == ((2 * s, -s, -s), (s, s, -2 * s))
+    assert raw.gamma_gens == ((1, -1, 0), (0, 1, -1))
+    assert raw.factor_names == ("su3",) and raw.factor_slices == ((0, 2),)
+    # rank one: the frozen su2 and so3 float data
+    for name, wb, gb in (("su2", 0.5, 4 * math.pi), ("so3", 1.0, TWO_PI)):
+        g = make_group(name)
+        for arr, value in ((g.positive_roots, 1.0), (g.simple_roots, 1.0),
+                           (g.rho, [0.5]), (g.weight_basis, wb), (g.gamma_basis, gb)):
+            assert np.array_equal(arr, np.reshape(value, np.shape(arr)))
+        assert [(m.tolist(), sign) for m, sign in g.weyl_group] == [([[1.0]], 1), ([[-1.0]], -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +519,38 @@ def test_alcove_points_regular_and_deterministic():
         g = make_group(name)
         pts = alcove_points(g, 20)
         assert pts.shape == (20, g.rank)
+        assert len(np.unique(pts, axis=0)) == 20
         for H in pts:
             assert is_regular(g, H)
         assert_allclose(alcove_points(g, 20), pts, atol=0)
+        # every positive root, the highest included, pairs into (0, 2pi):
+        # the open alcove of each simple factor; so3 keeps to its half and
+        # tori to their centred cell
+        pairs = pts @ g.positive_roots.T
+        assert np.all((pairs > 0) & (pairs < TWO_PI))
+        if name == "so3":
+            assert np.all(pts < math.pi)
+        if g.is_abelian:
+            assert np.all(np.abs(pts) < math.pi)
     with pytest.raises(DomainError):
         alcove_points(make_group("su2"), 0)
 
 
 def test_haar_quadrature_character_orthonormality():
-    su2 = make_group("su2")
-    grid = cell_grid(su2, 16)
-    chi1 = np.asarray(character(su2, (1,), grid))
-    chi2 = np.asarray(character(su2, (2,), grid))
-    assert_allclose(haar_quadrature(su2, (chi1 * np.conj(chi1)).real), 1.0,
-                    atol=1e-12)
-    assert_allclose(haar_quadrature(su2, chi1.real), 0.0, atol=1e-12)
-    assert_allclose(haar_quadrature(su2, (chi1 * np.conj(chi2)).real), 0.0,
-                    atol=1e-12)
-    assert_allclose(haar_quadrature(su2, np.ones(len(grid))), 1.0, atol=1e-12)
-    with pytest.raises(DomainError):
-        haar_quadrature(make_group("su3"), np.ones(7))  # 7 is not n^2
+    # c_lambda of chi_mu is the Haar integral of chi_mu conj(chi_lambda): a
+    # Kronecker delta, and for mu = 0 the unit Haar mass of the constant
+    for name, mus in (("su2", [(0,), (1,), (2,)]), ("su3", [(0, 0), (1, 1), (3, 0)])):
+        g = make_group(name)
+        for mu in mus:
+            chi = fourier_coefficients(g, lambda H: np.real(character(g, mu, H)), 9.0)
+            if mu == (3, 0):  # Re chi of a complex pair splits evenly
+                mu = {mu, (0, 3)}
+                for w, c in chi.coeffs.items():
+                    assert_allclose(c, 0.5 * (w.coords in mu), atol=1e-12)
+                continue
+            assert len(chi.coeffs) > 3
+            for w, c in chi.coeffs.items():
+                assert_allclose(c, float(w.coords == mu), atol=1e-12)
 
 
 def test_as_real_checked_guards_imaginary_mass():

@@ -12,11 +12,10 @@ from wrapkit import (
     alcove_points,
     auto_kernel,
     bend_complex,
-    cell_grid,
     complexify,
     enumerate_weights,
     flat_heat_kernel,
-    haar_quadrature,
+    fourier_coefficients,
     heat_coefficients,
     j_complex,
     make_group,
@@ -87,9 +86,10 @@ def test_plain_kernel_positive_and_normalized():
         near = alcove_points(g, 30) * 0.6
         vals = spectral_heat_kernel(g, near, 0.3, shifted=False, tol=1e-10)
         assert np.all(vals > 0)
-        grid = cell_grid(g, 81)
-        mass = haar_quadrature(
-            g, spectral_heat_kernel(g, grid, 0.3, shifted=False, tol=1e-8))
+        coeffs = fourier_coefficients(
+            g, lambda H: spectral_heat_kernel(g, H, 0.3, shifted=False, tol=1e-8),
+            1.0, n=81).coeffs
+        mass = coeffs[g.weight((0,) * g.rank)]
         assert abs(mass - 1.0) < 1e-6
 
 
