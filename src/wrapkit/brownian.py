@@ -41,7 +41,6 @@ from .errors import (
 from .groups import (CharacterTable, GroupSpec, TWO_PI, _sin_over_y,
                      fundamental_intervals, j_compact, make_group, weight, weyl_density)
 from .heat import heat_coefficients
-from .wrapping import CentralFunction
 
 _COST_CAP = 5e8          # paths times steps
 _RENORM_EVERY = 100
@@ -141,20 +140,24 @@ def _map_chunks(cfg: SdeConfig, worker, threads: int | None):
         return [f.result() for f in futures]
 
 
+def _moments(v) -> tuple[int, float, float]:
+    """(n, mean, M2) of one chunk, M2 the sum of squared deviations."""
+    v = np.asarray(v, dtype=float)
+    mean = float(v.mean())
+    return len(v), mean, float(np.sum((v - mean) ** 2))
+
+
 def _reduce_moments(parts, seed: int) -> McEstimate:
-    """Combine per-chunk (sum, sumsq, n) in fixed order."""
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for s, sq, c in parts:
-        total += s
-        total_sq += sq
-        n += c
-    mean = total / n
-    if n > 1:
-        var = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-    else:
-        var = 0.0
+    """Merge per-chunk (n, mean, M2) in chunk order by the update of Chan,
+    Golub & LeVeque (Amer. Stat. 37, 1983): no variance lost to a large mean."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, mb, m2b in parts:
+        total = n + nb
+        delta = mb - mean
+        mean += delta * (nb / total)
+        m2 += m2b + delta * delta * (n * nb / total)
+        n = total
+    var = m2 / (n - 1) if n > 1 else 0.0
     return McEstimate(mean=mean, stderr=math.sqrt(var / n), n=n, seed=seed)
 
 
@@ -486,11 +489,6 @@ def feynman_kac_weight(g: GroupSpec, t: float) -> float:
 # estimators
 # ---------------------------------------------------------------------------
 
-def _central_values(f, coords: np.ndarray) -> np.ndarray:
-    vals = f.evaluate(coords) if isinstance(f, CentralFunction) else f(coords)
-    return np.asarray(vals, dtype=float)
-
-
 class RealCharacter:
     """Re chi_lambda as a plain callable on torus-coordinate batches.
 
@@ -504,10 +502,10 @@ class RealCharacter:
     def __init__(self, g: GroupSpec, coords):
         self.group = g
         self.weight = weight(g, coords)
-        self._table = CharacterTable(g, (self.weight,))
+        self._table = CharacterTable(g, [self.weight], [1.0])
 
     def __call__(self, H) -> np.ndarray:
-        return np.real(self._table.values(H)[0])
+        return np.real(self._table.values(H))
 
 
 def real_character(g: GroupSpec, coords) -> RealCharacter:
@@ -519,8 +517,7 @@ def real_character(g: GroupSpec, coords) -> RealCharacter:
 def mc_expect_central(f, cfg: SdeConfig, threads: int | None = None) -> McEstimate:
     """Monte Carlo mean of a central function over plain group endpoints."""
     def worker(i, c):
-        v = _central_values(f, _run_chunk(cfg, i, c).alcove_coords())
-        return float(v.sum()), float((v * v).sum()), len(v)
+        return _moments(f(_run_chunk(cfg, i, c).alcove_coords()))
 
     return _reduce_moments(_map_chunks(cfg, worker, threads), cfg.seed)
 
@@ -554,8 +551,7 @@ def wrap_bm_check(
     """
     def flat_worker(i, c):
         coords = _algebra_projection(g, _flat_draw(cfg, i, c, g.dim))
-        v = j_compact(g, coords) * _central_values(f, coords)
-        return float(v.sum()), float((v * v).sum()), len(v)
+        return _moments(j_compact(g, coords) * f(coords))
 
     lhs = _reduce_moments(_map_chunks(cfg, flat_worker, threads), cfg.seed)
 
@@ -678,10 +674,8 @@ def weak_order_ratio(
         vals = []
         for chunk in trio:
             chunk.renormalize()
-            vals.append(_central_values(f, chunk.alcove_coords()))
-        d1 = vals[0] - vals[1]
-        d2 = vals[1] - vals[2]
-        return [(float(d.sum()), float((d * d).sum()), c) for d in (d1, d2)]
+            vals.append(np.asarray(f(chunk.alcove_coords()), dtype=float))
+        return [_moments(vals[0] - vals[1]), _moments(vals[1] - vals[2])]
 
     parts = _map_chunks(cfg, worker, threads)
     e1, e2 = (_reduce_moments([p[k] for p in parts], seed) for k in (0, 1))

@@ -20,7 +20,9 @@ dimension count dim = rank + 2 * #positive_roots.  An integer layer (that
 data times the lcm of its denominators) enumerates and measures weights by
 exact int64 forms.  A numeric layer then fixes an orthonormal basis of the
 Cartan subalgebra and exposes float data (roots as covectors, rho, lattice
-bases, Weyl matrices).
+bases, Weyl matrices).  Character combinations are synthesised from the
+integer frequencies of ``_frequencies`` by one formula at every point
+(``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ WEIGHT_CAP = 200_000
 LATTICE_CAP = 1_000_000
 
 # |sin(alpha(H)/2)| below this means H sits on (or hugs) a singular wall and
-# character ratios switch to the wall-limit derivative formula.
+# counts toward the wall order s of the character synthesis.
 _SINGULAR_SIN = 5e-5
 
 # |alpha(H)| below this switches sin(x/2)/(x/2) to its Taylor series.
@@ -603,14 +605,15 @@ def weyl_denominator(g: GroupSpec, points: np.ndarray) -> np.ndarray:
 
 def orbit_stack(g: GroupSpec, weights: list[Weight]) -> np.ndarray:
     """(L, |W|, rank) stack of w(lambda + rho) over the Weyl group."""
-    mus = np.array([w.mu for w in weights])         # (L, rank)
+    mus = np.array([w.mu for w in weights]).reshape(-1, g.rank)
     return np.einsum("wij,lj->lwi", g._weyl_mats, mus)
 
 
-def _numerators(g: GroupSpec, stack: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(L, P) alternating exponential sums sum_w det(w) e^{i <w mu, H>}."""
-    phases = np.einsum("lwi,pi->lwp", stack, points)
-    return np.einsum("w,lwp->lp", g._weyl_signs, np.exp(1j * phases))
+def _frequencies(g: GroupSpec, weights: list[Weight]) -> tuple[np.ndarray, int]:
+    """(L, |W|, rank) dual indices of w(lambda + rho) - rho (integral, as w rho - rho
+    is a sum of roots) and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
+    idx = dual_index(g, orbit_stack(g, weights) - g.rho)
+    return idx, (int(np.max(np.abs(2 * idx + dual_index(g, 2.0 * g.rho)), initial=0)) + 1) // 2
 
 
 def as_real_checked(values: np.ndarray, context: str, scale: float = 1.0):
@@ -628,76 +631,111 @@ def as_real_checked(values: np.ndarray, context: str, scale: float = 1.0):
     return np.ascontiguousarray(values.real)
 
 
-class CharacterTable:
-    """Batched Weyl-character evaluation for a fixed list of weights.
+def _synthesise(start: np.ndarray, spec: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k spec[:, k] e^{2 pi i u_k.y}, u_k = start + k symmetric about 0, per row
+    of y, shape (len(spec), P): a matrix product on the last axis, then a
+    contraction per other axis.  Each axis tabulates its rows u >= 0 and
+    takes the rows u < 0 as their conjugates."""
+    # blocks of points with ~2**17 complex table and contraction entries bound the memory
+    step = max(1, 2**17 // (spec.size // spec.shape[-1] + 2 * sum(spec.shape[1:])))
+    if len(y) > step:
+        return np.concatenate([_synthesise(start, spec, y[i:i + step])
+                               for i in range(0, len(y), step)], axis=1)
+    tables = []
+    for j, n in enumerate(spec.shape[1:]):
+        h = (n + 1) // 2
+        upper = np.exp(TWO_PI * 1j * np.outer(start[j] + n - h + np.arange(h), y[:, j]))
+        tables.append(np.concatenate([upper[::-1][:n - h].conj(), upper]))     # (n_j, P)
+    acc = (spec.reshape(-1, spec.shape[-1]) @ tables[-1]).reshape(spec.shape[:-1] + (len(y),))
+    for table in tables[-2::-1]:
+        acc = np.einsum("...kp,kp->...p", acc, table)
+    return acc
 
-    Regular points use the quotient of alternating sums directly.  At a
-    point lying on s singular walls both alternating sums vanish to order
-    exactly s along the rho direction, so the value is the ratio of the
-    s-th directional derivatives, a plain finite sum with no limit taken;
-    H = 0 additionally short-circuits to the exact dimensions.  Values are
-    complex: characters of non-self-conjugate weights (torus characters,
-    generic su3 weights) are genuinely complex, and real-by-symmetry
-    combinations are validated by the callers via ``as_real_checked``.
+
+def _weyl_derivative(half: np.ndarray, sines: np.ndarray, slope: np.ndarray, s: int):
+    """i^-s d^s/dt^s prod_alpha 2i sin(half_alpha + t slope_alpha / 2) at t = 0, per
+    row of half = alpha(H)/2 (sines = sin(half)), by truncated Taylor series."""
+    if s == 0:
+        return (2j * sines).prod(axis=1)
+    j = np.arange(s + 1)[:, None, None]
+    derivs = np.stack([sines, np.cos(half), -sines, -np.cos(half)])[j[:, 0, 0] % 4]
+    series = 2j * derivs * (slope / 2) ** j / np.cumprod(np.maximum(j, 1), axis=0)
+    out = np.eye(s + 1, 1) * np.ones(len(half))                  # the series 1, (s + 1, P)
+    for f in np.moveaxis(series, 2, 0):
+        out = np.array([sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(s + 1)])
+    return out[s] * math.factorial(s) * (-1j) ** s
+
+
+@lru_cache(maxsize=None)
+def _synthesis_frame(g: GroupSpec) -> tuple:
+    """Per-group constants of ``CharacterTable``: Gamma^-1, idx(-2 rho), <alpha, v>."""
+    return (np.linalg.inv(g.gamma_basis), -dual_index(g, 2.0 * g.rho),
+            g.positive_roots @ g.rho / math.sqrt(g.rho_norm_sq))
+
+
+class CharacterTable:
+    """sum_lambda c_lambda chi_lambda (real c_lambda), synthesised from the
+    integer frequencies k = idx(w(lambda + rho) - rho) of ``_frequencies``.
+
+    On s singular walls (s = 0 when regular, s = m at the origin) both sums
+    of the Weyl quotient vanish to order s along v = rho / ||rho||, so every
+    point takes one formula: the order-s synthesis (coefficients c_lambda
+    det(w) <w(lambda + rho), v>^s) over that of the trivial character, the
+    ``_weyl_derivative``.  Points within the singular tolerance of a wall
+    get the wall value, an O(dist) difference.  Even and odd spectrum parts
+    under w(lambda + rho) -> -w(lambda + rho) give a cosine and a sine
+    series, so terms that cancel near the identity cancel exactly.
+    ``scale`` = sum |c_lambda| d_lambda bounds the values.
     """
 
-    def __init__(self, g: GroupSpec, weights: list[Weight]):
+    def __init__(self, g: GroupSpec, weights: list[Weight], coeffs):
         self.group = g
         self.weights = list(weights)
-        self._stack = orbit_stack(g, self.weights)
-        self._dims = np.array([float(w.dimension) for w in self.weights])
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.scale = float(np.abs(self.coeffs) @ [float(w.dimension) for w in self.weights])
+        self._freq = _frequencies(g, self.weights)[0]
+        self._to_cell, self._centre, self._slope = _synthesis_frame(g)
+        self._spectra = {}
 
-    def _regular_values(self, points: np.ndarray) -> np.ndarray:
-        num = _numerators(self.group, self._stack, points)
-        den = weyl_denominator(self.group, points)
-        return num / den[None, :]
+    def spectrum(self, order: int):
+        """(lo, [even, odd]): the order-s coefficients scattered over a box of
+        frequencies from lo, symmetric about centre / 2; cached.  Uses
+        <w(lambda + rho), v> = ||rho|| + 2pi k.Gamma^-T v."""
+        if order not in self._spectra:
+            g = self.group
+            vals = self.coeffs[:, None] * g._weyl_signs
+            if order:
+                axis = TWO_PI * np.linalg.solve(g.gamma_basis.T, g.rho / math.sqrt(g.rho_norm_sq))
+                vals = vals * (math.sqrt(g.rho_norm_sq) + self._freq @ axis) ** order
+            flat = self._freq.reshape(-1, g.rank)
+            lo = np.minimum(flat.min(0, initial=0), self._centre - flat.max(0, initial=0))
+            spec = np.zeros(self._centre - 2 * lo + 1, dtype=complex)
+            np.add.at(spec, tuple((flat - lo).T), vals.ravel())
+            self._spectra[order] = lo, np.stack([spec + np.flip(spec), spec - np.flip(spec)]) / 2
+        return self._spectra[order]
 
-    def _singular_values(self, pts: np.ndarray) -> np.ndarray:
-        """Wall limits by the derivative ratio described in the class
-        docstring.  A point within the singular tolerance of s walls gets
-        the value on the wall intersection; the difference is O(dist)."""
-        g = self.group
-        v = g.rho / math.sqrt(g.rho_norm_sq)
-        sines = np.abs(np.sin((pts @ g.positive_roots.T) / 2.0))
-        order = np.sum(sines <= _SINGULAR_SIN, axis=1)
-        rho_stack = np.einsum("wij,j->wi", g._weyl_mats, g.rho)
-        mu_v = self._stack @ v                                   # (L, W)
-        rho_v = rho_stack @ v                                    # (W,)
-        out = np.empty((len(self.weights), len(pts)), dtype=complex)
-        for s in np.unique(order):
-            sel = order == s
-            p = pts[sel]
-            num_ph = np.exp(1j * np.einsum("lwi,pi->lwp", self._stack, p))
-            den_ph = np.exp(1j * np.einsum("wi,pi->wp", rho_stack, p))
-            num = np.einsum("w,lw,lwp->lp", g._weyl_signs, mu_v ** s, num_ph)
-            den = np.einsum("w,w,wp->p", g._weyl_signs, rho_v ** s, den_ph)
-            if np.min(np.abs(den)) < 1e-8:
-                raise InstabilityError(
-                    f"{g.name}: degenerate wall-limit denominator "
-                    f"(order {int(s)}) at a singular point"
-                )
-            out[:, sel] = num / den[None, :]
-        return out
-
-    def values(self, H) -> np.ndarray:
-        """Character values as an (L, P) complex array (or (L,) for one
-        point)."""
+    def values(self, H):
+        """One complex value per point, shape (P,) (a scalar for one point)."""
         g = self.group
         points, single = _as_points(g, H)
-        out = np.empty((len(self.weights), len(points)), dtype=complex)
-        ok = wall_distance(g, points) > _SINGULAR_SIN
-        if ok.any():
-            out[:, ok] = self._regular_values(points[ok])
-        bad = ~ok
-        if bad.any():
-            bad_pts = points[bad]
-            origin = np.max(np.abs(bad_pts), axis=1) < 1e-12
-            if origin.any():
-                out[:, np.flatnonzero(bad)[origin]] = self._dims[:, None]
-            rest = np.flatnonzero(bad)[~origin]
-            if len(rest):
-                out[:, rest] = self._singular_values(points[rest])
-        return out[:, 0] if single else out
+        half = (points @ g.positive_roots.T) / 2.0
+        sines = np.sin(half)
+        order = np.sum(np.abs(sines) <= _SINGULAR_SIN, axis=1)
+        y = points @ self._to_cell
+        out = np.empty(len(points), dtype=complex)
+        orders = np.flatnonzero(np.bincount(order))
+        for s in orders:
+            sel = order == s if len(orders) > 1 else slice(None)
+            den = _weyl_derivative(half[sel], sines[sel], self._slope, s)
+            if s and np.min(np.abs(den)) < 1e-8:
+                raise InstabilityError(
+                    f"{g.name}: degenerate wall-limit denominator "
+                    f"(order {s}) at a singular point"
+                )
+            lo, spec = self.spectrum(s)
+            even, odd = _synthesise(lo - self._centre / 2.0, spec, y[sel])
+            out[sel] = (even.real + 1j * odd.imag) / den
+        return out[0] if single else out
 
 
 def character(g: GroupSpec, lam: Weight | tuple, H):
@@ -709,13 +747,10 @@ def character(g: GroupSpec, lam: Weight | tuple, H):
     """
     if not isinstance(lam, Weight):
         lam = weight(g, lam)
-    vals = CharacterTable(g, [lam]).values(H)
-    vals = vals[0] if vals.ndim == 2 else vals
+    vals = CharacterTable(g, [lam], [1.0]).values(H)
     if np.all(np.abs(vals.imag) <= 1e-10 * np.maximum(1.0, np.abs(vals.real))):
         vals = vals.real
-    if vals.ndim == 0:
-        return complex(vals) if np.iscomplexobj(vals) else float(vals)
-    return vals
+    return vals.item() if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------

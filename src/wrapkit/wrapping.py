@@ -2,7 +2,9 @@
 on the group, in two independently computable forms.
 
 The spectral form expands the transported function in irreducible characters
-with coefficients d_lambda * nu_hat(lambda + rho).  The geodesic form sums
+with coefficients d_lambda * nu_hat(lambda + rho), evaluated by
+``groups.CharacterTable``, whose spectrum ``fourier_coefficients`` also reads
+for its inverse FFT.  The geodesic form sums
 nu / j over the translates of a torus point by the exponential kernel
 lattice and scales by the Riemannian group volume.  For a Gaussian these are
 the two sides of the Poisson summation identity on the group, and the
@@ -40,12 +42,11 @@ from .groups import (
     TWO_PI,
     _SINGULAR_SIN,
     _as_points,
+    _frequencies,
     cell_grid,
-    dual_index,
     enumerate_weights,
     j_compact,
     lattice_points,
-    orbit_stack,
     wall_distance,
     weyl_denominator,
 )
@@ -252,52 +253,29 @@ class CentralFunction:
     group: GroupSpec
     coeffs: dict[Weight, float]
     cutoff: float
-    _order: list = field(default=None, repr=False, compare=False)
     _table: CharacterTable = field(default=None, repr=False, compare=False)
-    _vector: tuple = field(default=None, repr=False, compare=False)
 
     def _sorted_weights(self) -> list:
-        if self._order is None:
-            self._order = sorted(
-                self.coeffs.keys(), key=lambda w: (w._norm_key, w.coords)
-            )
-        return self._order
+        return sorted(self.coeffs, key=lambda w: (w._norm_key, w.coords))
 
-    def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coeffs[w] for w in self._sorted_weights()])
-
-    def _vector_and_sup(self) -> tuple[np.ndarray, float]:
-        """The coefficient vector and sup |f| <= sum |c_lambda| d_lambda."""
-        if self._vector is None:
-            c = self.coefficient_vector()
-            dims = np.array([w.dimension for w in self._sorted_weights()])
-            self._vector = (c, float(np.sum(np.abs(c) * dims)))
-        return self._vector
+    def table(self) -> CharacterTable:
+        """The cached ``CharacterTable`` of this expansion."""
+        if self._table is None:
+            ws = self._sorted_weights()
+            self._table = CharacterTable(self.group, ws, [self.coeffs[w] for w in ws])
+        return self._table
 
     def evaluate(self, H):
-        """Pointwise values on torus point(s); real by coefficient symmetry."""
-        ws = self._sorted_weights()
-        if not ws:
-            pts, single = _as_points(self.group, H)
-            out = np.zeros(len(pts))
-            return float(out[0]) if single else out
-        if self._table is None:
-            self._table = CharacterTable(self.group, ws)
-        vals = self._table.values(H)
-        c, sup = self._vector_and_sup()
-        single = vals.ndim == 1
-        total = c @ (vals if not single else vals[:, None])
-        total = as_real_checked(
-            total, f"central function on {self.group.name}", scale=sup
-        )
-        return float(total[0]) if single else total
+        """Pointwise values on torus point(s), synthesised by the
+        ``CharacterTable`` at every point (regular, on walls, the origin);
+        real by coefficient symmetry, which ``as_real_checked`` enforces
+        against the scale sum |c_lambda| d_lambda."""
+        vals = self.table().values(H)
+        total = as_real_checked(np.atleast_1d(vals), f"central function on {self.group.name}",
+                                scale=self.table().scale)
+        return float(total[0]) if np.ndim(vals) == 0 else total
 
     __call__ = evaluate
-
-    def max_dual_index(self) -> int:
-        """Largest infinity-norm frequency of any character against the dual
-        of gamma_basis, rounded up on so3; the quadrature bandwidth."""
-        return _frequencies(self.group, self._sorted_weights())[1]
 
 
 def _check_same_group(a: CentralFunction, b: CentralFunction, op: str) -> None:
@@ -449,15 +427,6 @@ def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> flo
 # quadrature analysis
 # ---------------------------------------------------------------------------
 
-def _frequencies(g: GroupSpec, weights: list[Weight]) -> tuple[np.ndarray, int]:
-    """(L, |W|, rank) dual indices of w(lambda + rho) - rho (integral, as w rho - rho
-    is a sum of roots) and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
-    if not weights:
-        return np.zeros((0, g.weyl_order, g.rank), dtype=int), 0
-    idx = dual_index(g, orbit_stack(g, weights) - g.rho)
-    return idx, (int(np.max(np.abs(2 * idx + dual_index(g, 2.0 * g.rho)))) + 1) // 2
-
-
 def required_grid_points(g: GroupSpec, cutoff: float) -> int:
     """Points per dimension needed so the character quadrature below is
     alias-free for functions band-limited by the same cutoff."""
@@ -476,8 +445,9 @@ def fourier_coefficients(
     With den = e^{-i<rho, H>} * Weyl denominator, a function on the torus,
     c_lambda is the Weyl-signed mean of the DFT (``fftn``) of f * den at the
     integer frequencies w(lambda + rho) - rho.  For a CentralFunction of the
-    same group f * den is the inverse FFT of its signed coefficients, so
-    nothing is divided by den; realness is checked at regular grid points.
+    same group f * den is the inverse FFT of its ``CharacterTable`` order-0
+    spectrum, so nothing is divided by den; realness is checked at regular
+    grid points.
     Exact (to rounding) for f band-limited within ``cutoff``; content beyond
     the grid bandwidth aliases as for the trapezoidal rule.  ``n`` below the
     alias-free size raises ResolutionError stating the required count.
@@ -496,13 +466,13 @@ def fourier_coefficients(
     grid = cell_grid(g, n)
     den = weyl_denominator(g, grid) * np.exp(-1j * (grid @ g.rho))
     if isinstance(f, CentralFunction) and f.group is g:
-        c, sup = f._vector_and_sup()
+        lo, box = f.table().spectrum(0)
         spectrum = np.zeros((n,) * g.rank, dtype=complex)
-        freq = _frequencies(g, f._sorted_weights())[0] % n
-        np.add.at(spectrum, tuple(np.moveaxis(freq, -1, 0)), c[:, None] * g._weyl_signs)
+        np.add.at(spectrum, np.ix_(*((a + np.arange(m)) % n for a, m in zip(lo, box.shape[1:]))),
+                  box[0] + box[1])
         h = np.fft.ifftn(spectrum).ravel() * len(grid)
         reg = wall_distance(g, grid) > _SINGULAR_SIN
-        fv = as_real_checked(h[reg] / den[reg], f"central function on {g.name}", sup)
+        fv = as_real_checked(h[reg] / den[reg], f"central function on {g.name}", f.table().scale)
     else:
         fv = np.asarray(f(grid), dtype=float)
         if fv.shape != (len(grid),):

@@ -361,6 +361,29 @@ def test_wrap_bm_constant_function_exposes_the_weight():
     assert gap <= 3.0 * math.hypot(rep.lhs.stderr, rep.rhs.stderr) + 5e-3 * 5
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+def test_moment_merge_keeps_the_variance_under_a_large_mean(offset):
+    # 40000 values of offset + N(0, 1) in two chunks: sum-of-squares
+    # moments lose the variance (stderr 0.0 at 1e8); merged (n, mean, M2)
+    # triples match the two-pass value
+    v = offset + np.random.default_rng(3).standard_normal(40000)
+    est = brownian._reduce_moments([brownian._moments(v[:20000]),
+                                    brownian._moments(v[20000:])], seed=0)
+    two_pass = float(np.std(v, ddof=1)) / math.sqrt(len(v))
+    assert est.n == len(v)
+    assert abs(est.stderr - two_pass) <= 1e-6 * two_pass
+    # the mean itself to a few units in the last place of the offset
+    assert abs(est.mean - float(np.mean(v))) <= 1e-15 * offset + 1e-6 * two_pass
+    # end to end: a constant shift of f moves the mean, not the stderr
+    su2 = make_group("su2")
+    cfg = SdeConfig(group=su2, t=0.3, step=1e-2, paths=4000, seed=5, chunk=1000)
+    f = real_character(su2, (1,))
+    base = mc_expect_central(f, cfg)
+    shifted = mc_expect_central(lambda H: offset + f(H), cfg)
+    assert abs(shifted.stderr - base.stderr) <= 1e-6 * base.stderr
+    assert abs(shifted.mean - offset - base.mean) <= 1e-15 * offset + 1e-6 * base.stderr
+
+
 # ---------------------------------------------------------------------------
 # histogram check
 # ---------------------------------------------------------------------------

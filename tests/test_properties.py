@@ -22,8 +22,11 @@ from wrapkit import (
     enumerate_weights,
     fourier_coefficients,
     make_group,
+    spectral_heat_kernel,
+    wall_distance,
+    wrapped_heat_kernel,
 )
-from wrapkit.groups import orbit_stack
+from wrapkit.groups import TWO_PI, orbit_stack
 
 ALL_GROUPS = ("torus1", "torus2", "su2", "so3", "su2xsu2", "su3")
 
@@ -146,3 +149,86 @@ def test_non_real_su3_function_is_refused(a, b):
         f.evaluate(alcove_points(su3, 5))
     with pytest.raises(InstabilityError, match="imaginary"):
         fourier_coefficients(su3, f, 4.0)
+
+
+def _random_real_expansion(g, cutoff, seed):
+    """CentralFunction with c_lambda = c_lambda* ~ N(0, 1): real by symmetry."""
+    ws = enumerate_weights(g, cutoff)
+    rng = np.random.default_rng(seed)
+    conj = _conjugates(g, ws)
+    coeffs = {}
+    for w in ws:
+        if w not in coeffs:
+            coeffs[w] = coeffs[conj[w]] = float(rng.normal())
+    return CentralFunction(g, coeffs, cutoff)
+
+
+def _richardson(f, H, u, delta):
+    """(4 A(delta) - A(2 delta)) / 3 with A(d) = (f(H + d u) + f(H - d u)) / 2:
+    the even Taylor series of A leaves f(H) - f''''(H) delta^4 / 6 + O(delta^6)."""
+    a = [np.mean(f.evaluate(np.array([H + d * u, H - d * u]))) for d in (delta, 2 * delta)]
+    return (4 * a[0] - a[1]) / 3
+
+
+WALL_GROUPS = ("su2", "so3", "su2xsu2", "su3")
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(WALL_GROUPS), cutoff=st.floats(1.0, 30.0),
+       seed=st.integers(0, 2**32 - 1), y=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       root=st.integers(0, 2))
+def test_wall_values_are_limits_of_regular_neighbours(name, cutoff, seed, y, root):
+    g = make_group(name)
+    f = _random_real_expansion(g, cutoff, seed)
+    scale = f.table().scale
+    # the origin, on all m walls: f(0) = sum c_lambda d_lambda
+    exact = sum(c * w.dimension for w, c in f.coeffs.items())
+    assert abs(f.evaluate(np.zeros(g.rank)) - exact) <= 1e-12 * scale
+    # a point put exactly on the nearest wall alpha(H) in 2 pi Z of one root,
+    # clear of every other wall
+    H = np.array(y[:g.rank]) @ g.gamma_basis
+    alpha = g.positive_roots[root % g.n_positive_roots]
+    H0 = H - (alpha @ H - TWO_PI * round(alpha @ H / TWO_PI)) / (alpha @ alpha) * alpha
+    sines = np.abs(np.sin(g.positive_roots @ H0 / 2))
+    assume(np.sum(sines < 0.05) == 1)
+    # neighbours along rho, which no wall contains; the Richardson error is
+    # |f''''| delta^4 / 6 <= cutoff^2 delta^4 / 6 * scale = 1.5e-10 * scale
+    # at worst, and rounding over the neighbours' Weyl denominators ~delta
+    # adds ~1e-16 / delta per unit of scale (measured: <= 2e-11 * scale)
+    u = g.rho / math.sqrt(g.rho_norm_sq)
+    assert abs(f.evaluate(H0) - _richardson(f, H0, u, 1e-3)) <= 1e-9 * scale
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(("su2xsu2", "su3")), cutoff=st.floats(1.0, 30.0),
+       seed=st.integers(0, 2**32 - 1), a=st.integers(-2, 2), b=st.integers(-2, 2))
+def test_values_where_two_walls_meet_are_limits_of_regular_neighbours(name, cutoff, seed, a, b):
+    g = make_group(name)
+    f = _random_real_expansion(g, cutoff, seed)
+    scale = f.table().scale
+    # simple roots alpha_1(H) = 2 pi a, alpha_2(H) = 2 pi b: on s >= 2 walls
+    # (on su3 alpha_1 + alpha_2 is on one too, s = 3)
+    H0 = np.linalg.solve(g.simple_roots, TWO_PI * np.array([a, b], dtype=float))
+    on = np.abs(np.sin(g.positive_roots @ H0 / 2)) < 1e-9
+    assert on.sum() >= 2
+    delta, u = 1e-3, g.rho / math.sqrt(g.rho_norm_sq)
+    # O(delta^4): the Richardson error |f''''| delta^4 / 6 <= cutoff^2 delta^4 / 6
+    # per unit of scale, as for one wall.  eps / delta^s: a neighbour's value
+    # is |W| terms of size <= scale over a Weyl denominator ~ the product over
+    # the s walls of delta <alpha, u> / 2, and the Richardson weights add up
+    # to 5/3.  Measured: su2xsu2 (s = 2) 5e-12 of the scale against 1.2e-8
+    # here, su3 (s = 3) 9e-6 against 7e-5.
+    tol = cutoff**2 * delta**4 / 6 + 5 / 3 * g.weyl_order * 2.2e-16 / np.prod(
+        delta * (g.positive_roots[on] @ u) / 2)
+    assert abs(f.evaluate(H0) - _richardson(f, H0, u, delta)) <= tol * scale
+
+
+@settings(deadline=None)  # every new t builds its expansion
+@given(name=st.sampled_from(ALL_GROUPS), y=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+       t=st.floats(0.3, 2.0))
+def test_poisson_identity_at_random_regular_points_and_times(name, y, t):
+    g = make_group(name)
+    H = np.array(y[:g.rank]) @ g.gamma_basis
+    assume(wall_distance(g, H) >= 0.05)
+    wrapped = wrapped_heat_kernel(g, H, t)
+    assert abs(spectral_heat_kernel(g, H, t) - wrapped) <= 1e-10 * max(1.0, abs(wrapped))
