@@ -181,22 +181,18 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
         return tuple(out)
 
     rank_offsets = list(itertools.accumulate([0] + [p.rank for p in parts]))
+
+    def lift(key):
+        return tuple(embed(v, idx) for idx, p in enumerate(parts) for v in getattr(p, key))
+
     return _RawGroup(
         name=name,
         ambient=ambient,
         gram=tuple(x for p in parts for x in p.gram),
-        pos_roots=tuple(
-            embed(r, idx) for idx, p in enumerate(parts) for r in p.pos_roots
-        ),
-        simple_roots=tuple(
-            embed(r, idx) for idx, p in enumerate(parts) for r in p.simple_roots
-        ),
-        weight_gens=tuple(
-            embed(g, idx) for idx, p in enumerate(parts) for g in p.weight_gens
-        ),
-        gamma_gens=tuple(
-            embed(g, idx) for idx, p in enumerate(parts) for g in p.gamma_gens
-        ),
+        pos_roots=lift("pos_roots"),
+        simple_roots=lift("simple_roots"),
+        weight_gens=lift("weight_gens"),
+        gamma_gens=lift("gamma_gens"),
         factor_names=tuple(n for p in parts for n in p.factor_names),
         factor_slices=tuple(
             (rank_offsets[idx] + a, rank_offsets[idx] + b)
@@ -757,37 +753,46 @@ def character(g: GroupSpec, lam: Weight | tuple, H):
 # lattices, grids and sample points
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _shortest_stretch(g: GroupSpec, basis: str) -> float:
+    """Smallest singular value of the lattice basis ``getattr(g, basis)``."""
+    return float(np.linalg.svd(getattr(g, basis), compute_uv=False)[-1])
+
+
+def _scan_box(g: GroupSpec, basis: str, reach: float, start: int | None, cap: int,
+              what: str, knob: str) -> np.ndarray:
+    """Integer coordinates k (int64 rows) of a box that holds every k with
+    ||k @ basis|| <= reach: |k_i| <= reach / sigma_min + 1, from ``start``
+    (from -bound when None).  A box above ``cap`` rows raises."""
+    bound = int(math.ceil(reach / _shortest_stretch(g, basis))) + 1
+    lo = -bound if start is None else start
+    side = bound + 1 - lo
+    if side ** g.rank > cap:
+        raise ResourceLimitError(
+            f"{g.name}: {what} scan would visit {side ** g.rank} "
+            f"candidates (cap {cap}); lower the {knob}"
+        )
+    return np.indices((side,) * g.rank, dtype=np.int64).reshape(g.rank, -1).T + lo
+
+
 def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
     """All dominant weights with ||lambda + rho||^2 <= cutoff, sorted by that
     norm (exact ties broken lexicographically by coordinates).  The scan is
-    kept per group and served by prefix; a larger cutoff rebuilds it."""
+    kept per group and served by prefix, so the cap on its box also caps what
+    a smaller cutoff gets; a larger cutoff rebuilds it."""
     if cutoff <= 0:
         raise DomainError("cutoff must be positive")
-    sig = np.linalg.svd(g.weight_basis, compute_uv=False)
-    reach = (math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq)) / sig[-1]
-    bound = int(math.ceil(reach)) + 1
-    axis = range(-bound if g.is_abelian else 0, bound + 1)
-    if (len(axis)) ** g.rank > WEIGHT_CAP:
-        raise ResourceLimitError(
-            f"{g.name}: weight scan would visit {(len(axis)) ** g.rank} "
-            f"candidates (cap {WEIGHT_CAP}); lower the cutoff"
-        )
     limit = math.floor(Fraction(cutoff) * g._ints.scale)
     table = g._ints.table
     if table is None or table[0] < limit:
-        box = [np.arange(axis.start, axis.stop, dtype=np.int64)] * g.rank
-        c = np.stack(np.meshgrid(*box, indexing="ij"), -1).reshape(-1, g.rank)
+        c = _scan_box(g, "weight_basis", math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq),
+                      None if g.is_abelian else 0, WEIGHT_CAP, "weight", "cutoff")
         norms = g._ints.norms(c)
         keep = np.flatnonzero((norms <= limit) & g._ints.dominant(c))
         order = keep[np.lexsort((*c[keep].T[::-1], norms[keep]))]
         c, norms = c[order], norms[order]
         g._ints.table = table = (limit, norms, _make_weights(g, c, norms))
-    out = table[2][: int(np.searchsorted(table[1], limit, side="right"))]
-    if len(out) > WEIGHT_CAP:
-        raise ResourceLimitError(
-            f"{g.name}: {len(out)} weights under cutoff {cutoff} (cap {WEIGHT_CAP})"
-        )
-    return out
+    return table[2][: int(np.searchsorted(table[1], limit, side="right"))]
 
 
 def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:
@@ -798,24 +803,12 @@ def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:
         raise DomainError(f"{g.name}: center needs {g.rank} coordinates")
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    sig = np.linalg.svd(g.gamma_basis, compute_uv=False)
-    bound = int(math.ceil((radius + np.linalg.norm(center)) / sig[-1])) + 1
-    if (2 * bound + 1) ** g.rank > LATTICE_CAP:
-        raise ResourceLimitError(
-            f"{g.name}: lattice scan would visit {(2 * bound + 1) ** g.rank} "
-            f"candidates (cap {LATTICE_CAP}); lower the radius"
-        )
-    picked = []
-    r2 = radius * radius
-    for k in itertools.product(range(-bound, bound + 1), repeat=g.rank):
-        gam = np.array(k) @ g.gamma_basis
-        d2 = float(np.sum((center + gam) ** 2))
-        if d2 <= r2 + 1e-12:
-            picked.append((d2, k, gam))
-    picked.sort(key=lambda item: (item[0], item[1]))
-    if not picked:
-        return np.zeros((0, g.rank))
-    return np.array([gam for _, _, gam in picked])
+    k = _scan_box(g, "gamma_basis", radius + float(np.linalg.norm(center)), None,
+                  LATTICE_CAP, "lattice", "radius")
+    gams = k @ g.gamma_basis
+    d2 = np.sum((center + gams) ** 2, axis=1)
+    keep = np.flatnonzero(d2 <= radius * radius + 1e-12)
+    return gams[keep[np.lexsort((*k[keep].T[::-1], d2[keep]))]]
 
 
 def dual_index(g: GroupSpec, xi) -> np.ndarray:

@@ -96,8 +96,6 @@ def spectral_heat_kernel(g: GroupSpec, H, t: float, shifted: bool = True,
 def wrapped_heat_kernel(g: GroupSpec, H, t: float, tol: float = 1e-10):
     """Shifted heat kernel by the geodesic route: the group volume times the
     lattice sum of the dim-G Gaussian over H + Gamma divided by j."""
-    if t <= 0:
-        raise DomainError("t must be positive")
     nu = RadialFunction.gaussian(g.dim, t)
     pts, single = _as_points(g, H)
     vals = np.array([wrap_lattice(g, nu, p, tol) for p in pts])
@@ -203,13 +201,6 @@ def bend_complex(gc: ComplexGroup, H, t: float):
     """Closed-form heat kernel on the complexified group along the compact
     Cartan directions: the flat R^n Gaussian (n the real dimension of the
     complex group) divided by j_complex."""
-    if t <= 0:
-        raise DomainError("t must be positive")
-    g = gc.compact
-    pts, single = _as_points(g, H)
-    n = gc.real_dim
-    flat = (2 * math.pi * t) ** (-n / 2) * np.exp(
-        -np.sum(pts * pts, axis=1) / (2 * t)
-    )
-    out = flat / j_complex(gc, pts)
+    pts, single = _as_points(gc.compact, H)
+    out = flat_heat_kernel(np.sum(pts * pts, axis=1), t, gc.real_dim) / j_complex(gc, pts)
     return float(out[0]) if single else out

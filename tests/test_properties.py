@@ -1,5 +1,6 @@
 """Property tests of the spectral core: weight enumeration, its per-group
-table, and the FFT quadrature round trip.
+table, the FFT quadrature round trip, Weyl invariance of character
+synthesis, and the proved tail bounds behind both truncations.
 
 The weight reference below is an independent brute-force scan in Fractions:
 the exact pairings are recovered from the float catalog data (all of them
@@ -14,19 +15,27 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gamma, gammaincc
 
 from wrapkit import (
     CentralFunction,
     InstabilityError,
+    RadialFunction,
     alcove_points,
+    auto_cutoff,
     enumerate_weights,
     fourier_coefficients,
+    j_compact,
+    lattice_points,
     make_group,
     spectral_heat_kernel,
     wall_distance,
+    weyl_density,
+    wrap_spectral,
     wrapped_heat_kernel,
 )
-from wrapkit.groups import TWO_PI, orbit_stack
+from wrapkit.groups import TWO_PI, CharacterTable, orbit_stack
+from wrapkit.wrapping import _lattice_radius, _ring_width, _upper_gamma
 
 ALL_GROUPS = ("torus1", "torus2", "su2", "so3", "su2xsu2", "su3")
 
@@ -232,3 +241,57 @@ def test_poisson_identity_at_random_regular_points_and_times(name, y, t):
     assume(wall_distance(g, H) >= 0.05)
     wrapped = wrapped_heat_kernel(g, H, t)
     assert abs(spectral_heat_kernel(g, H, t) - wrapped) <= 1e-10 * max(1.0, abs(wrapped))
+
+
+CATALOG_GROUPS = ALL_GROUPS + ("su4",)
+
+
+@settings(deadline=None)  # first calls build per-group tables
+@given(name=st.sampled_from(CATALOG_GROUPS), count=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), y=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       element=st.integers(0, 23))
+def test_character_table_is_weyl_invariant(name, count, seed, y, element):
+    g = make_group(name)
+    H = np.array(y[:g.rank]) @ g.gamma_basis
+    # clear of the walls: within the singular tolerance of one, the order-s
+    # formula is exact only on the wall itself
+    assume(wall_distance(g, H) > 1e-3)
+    ws = enumerate_weights(g, g.rho_norm_sq + 12.0)[:count]
+    table = CharacterTable(g, ws, np.random.default_rng(seed).normal(size=len(ws)))
+    w = g._weyl_mats[element % g.weyl_order]
+    # the numerator is |W| terms of size <= scale over a Weyl denominator |Delta(H)|
+    tol = 1e-12 * g.weyl_order * max(table.scale, 1.0) / math.sqrt(weyl_density(g, H))
+    assert abs(table.values(w @ H) - table.values(H)) <= tol
+
+
+@settings(deadline=None)  # every new t and tol rebuilds the weight table
+@given(name=st.sampled_from(ALL_GROUPS), t=st.floats(0.05, 2.0), log_tol=st.floats(-12.0, -6.0))
+def test_spectral_tail_beyond_auto_cutoff_is_below_a_tenth_of_tol(name, t, log_tol):
+    g, tol = make_group(name), 10.0**log_tol
+    nu = RadialFunction.gaussian(g.dim, t)
+    K = auto_cutoff(g, nu, tol)
+    f = wrap_spectral(g, nu, 4.0 * K)
+    tail = sum(abs(c) * w.dimension for w, c in f.coeffs.items() if w.lambda_plus_rho_norm_sq > K)
+    assert tail <= tol / 10.0
+
+
+@settings(deadline=None)  # every new t builds its expansion
+@given(name=st.sampled_from(ALL_GROUPS), t=st.floats(0.05, 2.0), log_tol=st.floats(-12.0, -6.0),
+       k=st.integers(0, 31))
+def test_lattice_terms_past_the_bound_radius_are_below_a_tenth_of_tol(name, t, log_tol, k):
+    g, tol = make_group(name), 10.0**log_tol
+    nu = RadialFunction.gaussian(g.dim, t)
+    H = alcove_points(g, 32)[k]
+    radius, ring = _lattice_radius(g, nu, H, tol), _ring_width(g)
+    # the bound covers everything past radius - ring: the ring of wrap_lattice
+    # and 3 ring widths of terms it leaves out
+    pts = H + lattice_points(g, H, radius + 3.0 * ring)
+    outer = pts[np.linalg.norm(pts, axis=1) > radius - ring]
+    mass = g.volume * float(np.sum(np.abs(nu(outer) / j_compact(g, outer))))
+    assert mass <= tol / 10.0
+
+
+@given(k=st.integers(0, 15), x=st.floats(1e-3, 100.0))
+def test_upper_gamma_matches_scipy_at_half_integer_orders(k, x):
+    s = k + 0.5
+    assert math.isclose(_upper_gamma(s, x), gammaincc(s, x) * gamma(s), rel_tol=1e-12)

@@ -339,3 +339,13 @@ def test_auto_cutoff_tightens_with_tolerance():
     assert np.max(np.abs(f_lo.evaluate(pts) - f_hi.evaluate(pts))) < 1e-12
     with pytest.raises(ContractError):
         auto_cutoff(su2, RadialFunction(dim=3, profile=nu.profile), 1e-8)
+
+
+def test_auto_cutoff_enumerates_no_weights(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("auto_cutoff enumerated weights")
+
+    monkeypatch.setattr(wrapkit.wrapping, "enumerate_weights", refuse)
+    for name in ("torus2", "su2", "so3", "su2xsu2", "su3", "su4"):
+        g = make_group(name)
+        assert auto_cutoff(g, RadialFunction.gaussian(g.dim, 0.1), 1e-10) > g.rho_norm_sq
