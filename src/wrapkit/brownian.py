@@ -16,6 +16,11 @@ through the covering map U -> Ad U.  They draw the same seeded increments
 as before, but so3 Monte Carlo reports may differ from wrapkit 0.1.0 in
 the last digits.
 
+One runner, ``_walk``, steps the paths of every estimator: a single chunk
+for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
+through shared fine increments for ``weak_order_ratio``.  It alone advances
+chunks, and it renormalizes them and guards their drift off the group.
+
 Determinism contract: every estimator splits its paths into fixed-size
 chunks; chunk k uses an independent Philox stream keyed by (seed, tag, k),
 and per-chunk partial results are reduced in chunk order.  Worker-thread
@@ -29,6 +34,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -199,11 +205,8 @@ class _TorusEngine:
     def step(self, z: np.ndarray, sqh: float) -> None:
         self.x = self.x + sqh * z
 
-    def drift(self) -> float:
+    def renormalize(self) -> float:
         return 0.0
-
-    def renormalize(self) -> None:
-        pass
 
     def alcove_coords(self) -> np.ndarray:
         return self.x - TWO_PI * np.round(self.x / TWO_PI)
@@ -241,14 +244,11 @@ class _Su2Engine:
         self.a = a * ua - b * np.conj(ub)
         self.b = a * ub + b * np.conj(ua)
 
-    def drift(self) -> float:
-        r = np.abs(self.a) ** 2 + np.abs(self.b) ** 2
-        return float(np.max(np.abs(np.sqrt(r) - 1.0)))
-
-    def renormalize(self) -> None:
+    def renormalize(self) -> float:
         r = np.sqrt(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
         self.a = self.a / r
         self.b = self.b / r
+        return float(np.max(np.abs(r - 1.0)))
 
     def alcove_coords(self) -> np.ndarray:
         # atan2 keeps full relative precision near the identity; arccos(Re a) does not
@@ -278,7 +278,7 @@ class _So3Engine(_Su2Engine):
     """SO(3) = SU(2)/{+-1}: su2 paths seen through the covering map U -> Ad U.
 
     Ad U rotates by 2 arccos|Re a|, which already lies in the so3 alcove
-    [0, pi]; steps, drift and algebra projection are the su2 ones."""
+    [0, pi]; steps, renormalization and algebra projection are the su2 ones."""
 
     block = 3
     _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -317,13 +317,11 @@ class _SunEngine:
         rot = np.einsum("cik,ck,cjk->cij", v, phase, np.conj(v))
         self.m = self.m @ rot
 
-    def drift(self) -> float:
+    def renormalize(self) -> float:
         gram = self.m @ np.conj(np.transpose(self.m, (0, 2, 1)))
-        return float(np.max(np.abs(gram - np.eye(self.block)[None])))
-
-    def renormalize(self) -> None:
         u, _, vt = np.linalg.svd(self.m)
         self.m = u @ vt
+        return float(np.max(np.abs(gram - np.eye(self.block)[None])))
 
     def alcove_coords(self) -> np.ndarray:
         return self.fold(self.m)
@@ -383,28 +381,30 @@ def _engines(g: GroupSpec, count: int) -> list:
 
 
 class _Chunk:
-    """count paths on g: the factor engines stepped from one increment."""
+    """count paths on g: the factor engines stepped from one increment.
+    Its algebra and matrix-block slices are the one factor layout."""
 
     def __init__(self, g: GroupSpec, count: int):
         self.group = g
         self.engines = _engines(g, count)
-        self.offsets = np.cumsum([0] + [e.factor.dim for e in self.engines])
+        self.algebra = _slices(e.factor.dim for e in self.engines)
+        self.blocks = _slices(e.block for e in self.engines)
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
         """One geodesic Euler step with algebra increment sqh * z."""
-        for eng, lo, hi in zip(self.engines, self.offsets[:-1], self.offsets[1:]):
-            eng.step(z[:, lo:hi], sqh)
+        for eng, s in zip(self.engines, self.algebra):
+            eng.step(z[:, s], sqh)
 
     def renormalize(self) -> None:
-        """Guard the drift off the group, then project back onto it."""
+        """Project back onto the group; raise if the drift measured before
+        the projection exceeds _DRIFT_TOL."""
         for eng in self.engines:
-            drift = eng.drift()
+            drift = eng.renormalize()
             if drift > _DRIFT_TOL:
                 raise InstabilityError(
                     f"{self.group.name}: drift {drift:.2e} off the group "
                     f"manifold exceeds {_DRIFT_TOL:g} before renormalization"
                 )
-            eng.renormalize()
 
     def alcove_coords(self) -> np.ndarray:
         """Alcove torus coordinates of the endpoints, shape (count, rank)."""
@@ -413,28 +413,61 @@ class _Chunk:
     def matrices(self) -> np.ndarray:
         """Endpoint matrices, block-diagonal over the factors."""
         mats = [e.matrices() for e in self.engines]
-        size = sum(e.block for e in self.engines)
+        size = self.blocks[-1].stop
         out = np.zeros((len(mats[0]), size, size), dtype=np.result_type(*mats))
-        at = 0
-        for m in mats:
-            k = m.shape[1]
-            out[:, at:at + k, at:at + k] = m
-            at += k
+        for m, s in zip(mats, self.blocks):
+            out[:, s, s] = m
         return out
+
+    def fold(self, x: np.ndarray) -> np.ndarray:
+        """Alcove coordinates of a batch of block-diagonal group matrices."""
+        return np.concatenate([e.fold(x[:, s, s]) for e, s in zip(self.engines, self.blocks)],
+                              axis=1)
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """Torus coordinates of the Ad-invariant projection of algebra points."""
+        # No alcove folding here: the projection preserves the norm and the
+        # root angles, so j and any central function take the same values at
+        # the projected point as at z itself.
+        return np.concatenate([e.project(z[:, s]) for e, s in zip(self.engines, self.algebra)],
+                              axis=1)
+
+
+def _slices(sizes) -> list[slice]:
+    ends = list(accumulate(sizes, initial=0))
+    return [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
+
+
+def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
+          levels: int = 0) -> list[_Chunk]:
+    """Step levels + 1 coupled chunks of count paths through the step sizes
+    ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
+
+    Each step draws 2^levels fine increments at once; a level-l substep is
+    driven by the sum of 2^(levels - l) consecutive fine draws over its
+    square root, so every level sees the same Brownian path (the coupling of
+    Giles, Oper. Res. 56, 2008).  Every chunk is renormalized and guarded
+    every _RENORM_EVERY steps and after the last one."""
+    chunks = [_Chunk(g, count) for _ in range(levels + 1)]
+    for k, h in enumerate(steps):
+        fine = rng.standard_normal((2 ** levels, count, g.dim))
+        for level, chunk in enumerate(chunks):
+            width = 2 ** (levels - level)
+            zs = fine if width == 1 else (
+                fine.reshape(-1, width, count, g.dim).sum(axis=1) / math.sqrt(width))
+            sqh = math.sqrt(h / 2 ** level)
+            for z in zs:
+                chunk.advance(z, sqh)
+        if (k + 1) % _RENORM_EVERY == 0 or k == len(steps) - 1:
+            for chunk in chunks:
+                chunk.renormalize()
+    return chunks
 
 
 def _run_chunk(cfg: SdeConfig, index: int, count: int) -> _Chunk:
-    rng = _rng(cfg.seed, _TAG_GROUP, index)
-    chunk = _Chunk(cfg.group, count)
-    n = cfg.n_steps
-    h = cfg.step
-    last = cfg.t - (n - 1) * h
-    for k in range(n):
-        sqh = math.sqrt(h if k < n - 1 else last)
-        chunk.advance(rng.standard_normal((count, cfg.group.dim)), sqh)
-        if (k + 1) % _RENORM_EVERY == 0 or k == n - 1:
-            chunk.renormalize()
-    return chunk
+    n, h = cfg.n_steps, cfg.step
+    steps = [h] * (n - 1) + [cfg.t - (n - 1) * h]
+    return _walk(cfg.group, count, _rng(cfg.seed, _TAG_GROUP, index), steps)[0]
 
 
 def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
@@ -468,12 +501,7 @@ def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
     eye = np.eye(x.shape[1])
     if float(np.max(np.abs(gram - eye[None]))) > 1e-6:
         raise DomainError(f"{g.name}: input is not on the group to 1e-6")
-    blocks = []
-    at = 0
-    for eng in _engines(g, 0):
-        blocks.append(eng.fold(x[:, at:at + eng.block, at:at + eng.block]))
-        at += eng.block
-    out = np.concatenate(blocks, axis=1)
+    out = _Chunk(g, 0).fold(x)
     return out[0] if single else out
 
 
@@ -522,21 +550,6 @@ def mc_expect_central(f, cfg: SdeConfig, threads: int | None = None) -> McEstima
     return _reduce_moments(_map_chunks(cfg, worker, threads), cfg.seed)
 
 
-def _algebra_projection(g: GroupSpec, z: np.ndarray) -> np.ndarray:
-    """Torus coordinates of the Ad-invariant projection of algebra points.
-
-    No alcove folding happens here: the projection preserves the norm and
-    the root angles, so j and any central function take the same values at
-    the projected point as at z itself.
-    """
-    blocks = []
-    at = 0
-    for eng in _engines(g, 0):
-        blocks.append(eng.project(z[:, at:at + eng.factor.dim]))
-        at += eng.factor.dim
-    return np.concatenate(blocks, axis=1)
-
-
 def wrap_bm_check(
     g: GroupSpec, f, cfg: SdeConfig, threads: int | None = None
 ) -> WrapBmReport:
@@ -550,7 +563,7 @@ def wrap_bm_check(
     combined standard errors.
     """
     def flat_worker(i, c):
-        coords = _algebra_projection(g, _flat_draw(cfg, i, c, g.dim))
+        coords = _Chunk(g, 0).project(_flat_draw(cfg, i, c, g.dim))
         return _moments(j_compact(g, coords) * f(coords))
 
     lhs = _reduce_moments(_map_chunks(cfg, flat_worker, threads), cfg.seed)
@@ -658,23 +671,8 @@ def weak_order_ratio(
     cfg = SdeConfig(group=g, t=t, step=h, paths=paths, seed=seed, chunk=chunk)
 
     def worker(i, c):
-        rng = _rng(seed, _TAG_COUPLED, i)
-        trio = [_Chunk(g, c) for _ in range(3)]
-        sq = [math.sqrt(h), math.sqrt(h / 2), math.sqrt(h / 4)]
-        for _ in range(n_h):
-            fine = rng.standard_normal((4, c, g.dim))
-            levels = [
-                [fine.sum(axis=0) / 2.0],
-                [(fine[0] + fine[1]) / math.sqrt(2), (fine[2] + fine[3]) / math.sqrt(2)],
-                [fine[0], fine[1], fine[2], fine[3]],
-            ]
-            for chunk, zs, sqh in zip(trio, levels, sq):
-                for z in zs:
-                    chunk.advance(z, sqh)
-        vals = []
-        for chunk in trio:
-            chunk.renormalize()
-            vals.append(np.asarray(f(chunk.alcove_coords()), dtype=float))
+        trio = _walk(g, c, _rng(seed, _TAG_COUPLED, i), [h] * n_h, levels=2)
+        vals = [np.asarray(f(chunk.alcove_coords()), dtype=float) for chunk in trio]
         return [_moments(vals[0] - vals[1]), _moments(vals[1] - vals[2])]
 
     parts = _map_chunks(cfg, worker, threads)

@@ -754,25 +754,31 @@ def character(g: GroupSpec, lam: Weight | tuple, H):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _shortest_stretch(g: GroupSpec, basis: str) -> float:
-    """Smallest singular value of the lattice basis ``getattr(g, basis)``."""
-    return float(np.linalg.svd(getattr(g, basis), compute_uv=False)[-1])
+def _axis_stretch(g: GroupSpec, basis: str, dominant: bool) -> tuple[float, ...]:
+    """Per-axis factors c_i with |k_i| <= c_i ||k @ B|| (B the rows of
+    ``getattr(g, basis)``): the norms of the rows of B^-T for any k, and
+    1 / ||row i of B|| for k >= 0 on rows that pair nonnegatively (the
+    fundamental weights do), as then ||k @ B|| >= k_i ||row i of B||."""
+    b = getattr(g, basis)
+    if dominant:
+        return tuple(1.0 / float(n) for n in np.linalg.norm(b, axis=1))
+    return tuple(float(n) for n in np.linalg.norm(np.linalg.inv(b).T, axis=1))
 
 
-def _scan_box(g: GroupSpec, basis: str, reach: float, start: int | None, cap: int,
+def _scan_box(g: GroupSpec, basis: str, reach: float, dominant: bool, cap: int,
               what: str, knob: str) -> np.ndarray:
     """Integer coordinates k (int64 rows) of a box that holds every k with
-    ||k @ basis|| <= reach: |k_i| <= reach / sigma_min + 1, from ``start``
-    (from -bound when None).  A box above ``cap`` rows raises."""
-    bound = int(math.ceil(reach / _shortest_stretch(g, basis))) + 1
-    lo = -bound if start is None else start
-    side = bound + 1 - lo
-    if side ** g.rank > cap:
+    ||k @ basis|| <= reach, and k >= 0 when ``dominant``: |k_i| <= reach * c_i
+    + 1 per axis (see ``_axis_stretch``).  A box above ``cap`` rows raises."""
+    bound = [math.ceil(reach * c) + 1 for c in _axis_stretch(g, basis, dominant)]
+    lo = [0] * g.rank if dominant else [-b for b in bound]
+    sides = [b + 1 - a for b, a in zip(bound, lo)]
+    if math.prod(sides) > cap:
         raise ResourceLimitError(
-            f"{g.name}: {what} scan would visit {side ** g.rank} "
+            f"{g.name}: {what} scan would visit {math.prod(sides)} "
             f"candidates (cap {cap}); lower the {knob}"
         )
-    return np.indices((side,) * g.rank, dtype=np.int64).reshape(g.rank, -1).T + lo
+    return np.indices(sides, dtype=np.int64).reshape(g.rank, -1).T + lo
 
 
 def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
@@ -786,7 +792,7 @@ def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
     table = g._ints.table
     if table is None or table[0] < limit:
         c = _scan_box(g, "weight_basis", math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq),
-                      None if g.is_abelian else 0, WEIGHT_CAP, "weight", "cutoff")
+                      not g.is_abelian, WEIGHT_CAP, "weight", "cutoff")
         norms = g._ints.norms(c)
         keep = np.flatnonzero((norms <= limit) & g._ints.dominant(c))
         order = keep[np.lexsort((*c[keep].T[::-1], norms[keep]))]
@@ -803,7 +809,7 @@ def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:
         raise DomainError(f"{g.name}: center needs {g.rank} coordinates")
     if radius < 0:
         raise DomainError("radius must be nonnegative")
-    k = _scan_box(g, "gamma_basis", radius + float(np.linalg.norm(center)), None,
+    k = _scan_box(g, "gamma_basis", radius + float(np.linalg.norm(center)), False,
                   LATTICE_CAP, "lattice", "radius")
     gams = k @ g.gamma_basis
     d2 = np.sum((center + gams) ** 2, axis=1)

@@ -42,7 +42,6 @@ from .groups import (
     as_real_checked,
     TWO_PI,
     _SINGULAR_SIN,
-    _as_points,
     _frequencies,
     cell_grid,
     enumerate_weights,
@@ -534,14 +533,6 @@ def wraplap_check(g: GroupSpec, nu: RadialFunction, cutoff: float) -> float:
     lhs = wrap_spectral(g, nu.laplacian(), cutoff)
     rhs = laplacian_spectral(wrap_spectral(g, nu, cutoff), shifted=True)
     return max((abs(c - rhs.coeffs[w]) for w, c in lhs.coeffs.items()), default=0.0)
-
-
-def poisson_gap(g: GroupSpec, nu: RadialFunction, grid, tol: float = 1e-10) -> float:
-    """Max over torus points of |geodesic form - spectral form|."""
-    pts, _ = _as_points(g, np.asarray(grid, dtype=float))
-    f = wrap_spectral(g, nu, auto_cutoff(g, nu, tol))
-    spectral = np.atleast_1d(f.evaluate(pts))
-    return max((abs(wrap_lattice(g, nu, H, tol) - s) for H, s in zip(pts, spectral)), default=0.0)
 
 
 def wrapping_formula_check(

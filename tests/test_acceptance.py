@@ -259,6 +259,11 @@ def _determinism_runs():
             runs.append(["wrap-bm-check", "--group", name, "--t", t,
                          "--step", "5e-3", "--paths", "100000",
                          "--seed", str(SEED)])
+    # the product layout and the su<n> matrix engine, in two chunks each
+    for name, paths, chunk in (("su2xsu2", "10000", "5000"), ("su3", "2000", "1000")):
+        runs.append(["wrap-bm-check", "--group", name, "--t", "0.5",
+                     "--step", "5e-3", "--paths", paths, "--chunk", chunk,
+                     "--seed", str(SEED)])
     runs.append(["simulate", "--group", "su2", "--t", "1.0",
                  "--step", "2e-3", "--paths", "200000",
                  "--seed", str(SEED), "--bins", "12"])

@@ -452,6 +452,30 @@ def test_drift_guard_covers_every_stepping_loop(monkeypatch):
         weak_order_ratio(su2, f, t=0.05, h=0.01, paths=50, seed=1)
 
 
+def _scale_state(eng, factor):
+    if hasattr(eng, "m"):
+        eng.m = eng.m * factor
+    else:
+        eng.a, eng.b = eng.a * factor, eng.b * factor
+
+
+@pytest.mark.parametrize("name", ["su2", "so3", "su3"])
+def test_drift_guard_catches_a_real_drift(name):
+    g = make_group(name)
+    cfg = SdeConfig(group=g, t=0.05, step=1e-2, paths=50, seed=3)
+    chunk = brownian._run_chunk(cfg, 0, cfg.paths)
+    _scale_state(chunk.engines[0], 1 + 2e-6)
+    with pytest.raises(InstabilityError, match="drift"):
+        chunk.renormalize()
+    # a drift under the tolerance is projected back onto the group
+    chunk = brownian._run_chunk(cfg, 0, cfg.paths)
+    _scale_state(chunk.engines[0], 1 + 1e-8)
+    chunk.renormalize()
+    mats = chunk.matrices()
+    gram = mats @ np.conj(np.transpose(mats, (0, 2, 1)))
+    assert np.max(np.abs(gram - np.eye(mats.shape[1]))) < 1e-14
+
+
 def test_weak_order_ratio_needs_integer_steps():
     su2 = make_group("su2")
     with pytest.raises(DomainError):

@@ -249,6 +249,14 @@ def test_enumerate_weights_matches_brute_box_scan():
     assert got == brute
 
 
+@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3", "su4", "su5"])
+def test_weight_basis_pairs_nonnegatively(name):
+    # the dominant weight scan bounds k_i <= reach / ||omega_i||, which needs
+    # <omega_i, omega_j> >= 0 for every pair of weight-basis rows
+    wb = make_group(name).weight_basis
+    assert np.all(wb @ wb.T >= -1e-12)
+
+
 def test_enumerate_weights_sorted_and_guarded():
     su3 = make_group("su3")
     ws = enumerate_weights(su3, 12.0)

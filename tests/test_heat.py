@@ -77,6 +77,17 @@ def test_routes_agree(name):
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+def test_su4_short_time_routes_agree():
+    # the weight scan bounds each axis on its own (k_i <= reach / ||omega_i||):
+    # su4 at t = 0.2 scans 114444 candidates, where one box side
+    # reach / sigma_min for every axis scanned 512000 and hit the cap
+    g = make_group("su4")
+    pts = 0.1 * alcove_points(g, 5)
+    spectral = np.atleast_1d(spectral_heat_kernel(g, pts, 0.2))
+    wrapped = np.atleast_1d(wrapped_heat_kernel(g, pts, 0.2))
+    assert np.all(np.abs(spectral - wrapped) <= 1e-10 * np.maximum(1.0, np.abs(wrapped)))
+
+
 def test_plain_kernel_positive_and_normalized():
     # positivity wherever the truncated series resolves the value above the
     # double-precision noise floor, and unit Haar mass by grid quadrature

@@ -1,0 +1,70 @@
+"""Brownian paths have one stepping loop: in ``brownian.py`` only the path
+runner ``_walk`` calls ``.advance(``, and no class defines ``drift`` (each
+engine's ``renormalize`` returns the drift it measured).
+
+The check parses the module and names the enclosing function of every
+``.advance(`` call and every class that defines ``drift``.
+"""
+
+import ast
+from pathlib import Path
+
+from wrapkit import brownian
+
+
+def _advance_callers(tree):
+    """(enclosing function, line) of each call to an ``advance`` attribute."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "advance"):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def _drift_classes(tree):
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "drift" for item in node.body)]
+
+
+def _tree():
+    return ast.parse(Path(brownian.__file__).read_text())
+
+
+def test_only_the_path_runner_advances_chunks():
+    callers = _advance_callers(_tree())
+    assert callers, "the path runner no longer advances any chunk"
+    assert [f"line {line} in {func}" for func, line in callers if func != "_walk"] == []
+
+
+def test_no_engine_defines_drift():
+    assert _drift_classes(_tree()) == []
+
+
+def test_the_guard_sees_stray_loops_and_drift_methods():
+    code = (
+        'def _walk(chunk, z):\n'
+        '    chunk.advance(z, 0.1)\n'
+        'def worker(trio, zs):\n'
+        '    for chunk, z in zip(trio, zs):\n'
+        '        chunk.advance(z, 0.1)\n'
+        '    return [c.advance for c in trio]\n'
+        'class _Engine:\n'
+        '    def drift(self):\n'
+        '        return 0.0\n'
+        'class _Other:\n'
+        '    def renormalize(self):\n'
+        '        return 0.0\n'
+        'trio[0].advance(z, 0.2)\n'
+    )
+    tree = ast.parse(code)
+    assert [f for f, _ in _advance_callers(tree)] == ["_walk", "worker", None]
+    assert _drift_classes(tree) == ["_Engine"]

@@ -29,12 +29,13 @@ from wrapkit import (
     fourier_coefficients,
     laplacian_spectral,
     make_group,
-    poisson_gap,
     required_grid_points,
+    spectral_heat_kernel,
     weight,
     wrap_lattice,
     wrap_spectral,
     wraplap_check,
+    wrapped_heat_kernel,
     wrapping_formula_check,
 )
 
@@ -199,9 +200,10 @@ GROUPS = ("torus1", "torus2", "su2", "so3", "su2xsu2", "su3")
 @pytest.mark.parametrize("name", GROUPS)
 def test_poisson_gap_small(name):
     g = make_group(name)
-    nu = RadialFunction.gaussian(g.dim, 0.5)
     pts = alcove_points(g, 6)
-    assert poisson_gap(g, nu, pts) < 1e-10
+    spectral = np.atleast_1d(spectral_heat_kernel(g, pts, 0.5))
+    wrapped = np.atleast_1d(wrapped_heat_kernel(g, pts, 0.5))
+    assert np.max(np.abs(spectral - wrapped)) < 1e-10
 
 
 def test_wraplap_identity():
