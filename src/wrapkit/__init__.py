@@ -36,7 +36,6 @@ from .wrapping import (
     convolve_central,
     fourier_coefficients,
     laplacian_spectral,
-    required_grid_points,
     wrap_lattice,
     wrap_spectral,
     wraplap_check,

@@ -550,6 +550,12 @@ def mc_expect_central(f, cfg: SdeConfig, threads: int | None = None) -> McEstima
     return _reduce_moments(_map_chunks(cfg, worker, threads), cfg.seed)
 
 
+def _check_group(g: GroupSpec, cfg: SdeConfig) -> None:
+    # make_group caches one spec per name, so identity is agreement
+    if cfg.group is not g:
+        raise DomainError(f"group {g.name} does not match the config's group {cfg.group.name}")
+
+
 def wrap_bm_check(
     g: GroupSpec, f, cfg: SdeConfig, threads: int | None = None
 ) -> WrapBmReport:
@@ -562,6 +568,8 @@ def wrap_bm_check(
     sum_lambda c_lambda d_lambda e^{-||lambda+rho||^2 t/2}; z is the gap in
     combined standard errors.
     """
+    _check_group(g, cfg)
+
     def flat_worker(i, c):
         coords = _Chunk(g, 0).project(_flat_draw(cfg, i, c, g.dim))
         return _moments(j_compact(g, coords) * f(coords))
@@ -594,6 +602,7 @@ def empirical_density_table(
     every bin is skipped a ResolutionError asks for more paths or fewer
     bins.
     """
+    _check_group(g, cfg)
     if bins < 1:
         raise DomainError("bins must be >= 1")
     if cfg.t < 0.25:

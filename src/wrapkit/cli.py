@@ -1,11 +1,12 @@
 """Command-line front end: runs the analytic and stochastic checks and
 writes machine-readable tables.
 
-Every subcommand emits a header row naming its columns, data rows, and a
-footer recording the numerical conventions plus the effective configuration,
-so any result file is self-describing.  Exit codes: 0 success, 1 a check
-exceeded its gap (or a numerical run went unstable), 2 usage or config
-error.
+Handlers return their columns, rows and results; ``main`` alone writes the
+report, a header row naming the columns, the data rows and a footer
+recording the numerical conventions plus the effective configuration and
+results, so any result file is self-describing.  It picks the exit code:
+0 success, 1 a check exceeded its gap (or a numerical run went unstable),
+2 usage or config error.
 
 Determinism: output bytes depend only on the effective semantic
 configuration.  ``--threads`` (or WRAPKIT_THREADS) changes wall time, never
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -174,10 +176,10 @@ def _parse_mixture(text: str) -> list[tuple[float, float]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns the process exit code
+# subcommand handlers; each returns (columns, rows, results) to main
 # ---------------------------------------------------------------------------
 
-def _cmd_kernel(eff: dict) -> int:
+def _cmd_kernel(eff: dict) -> tuple:
     """kernel and poisson-check: both routes on an alcove grid; kernel also
     names the route auto_kernel would trust."""
     g = make_group(eff["group"])
@@ -189,23 +191,21 @@ def _cmd_kernel(eff: dict) -> int:
     ok = float(gap.max()) < eff["threshold"]
     route = ([("route", preferred_route(g, pts, eff["t"]))]
              if eff["command"] == "kernel" else [])
-    _emit(eff, _coord_columns(g.rank) + ["spectral", "wrapped", "gap"], rows,
-          route + [("max_gap", float(gap.max())), ("pass", ok)])
-    return 0 if ok else 1
+    return (_coord_columns(g.rank) + ["spectral", "wrapped", "gap"], rows,
+            route + [("max_gap", float(gap.max())), ("pass", ok)])
 
 
-def _cmd_semigroup_check(eff: dict) -> int:
+def _cmd_semigroup_check(eff: dict) -> tuple:
     g = make_group(eff["group"])
     coeff_gap, quad_gap = semigroup_gap(
         g, eff["t"], eff["s"], grid_points=eff["grid"], tol=eff["tol"]
     )
     ok = coeff_gap < eff["coeff_threshold"] and quad_gap < eff["quad_threshold"]
-    _emit(eff, ["t", "s", "coeff_gap", "quad_gap"],
-          [(eff["t"], eff["s"], coeff_gap, quad_gap)], [("pass", ok)])
-    return 0 if ok else 1
+    return (["t", "s", "coeff_gap", "quad_gap"],
+            [(eff["t"], eff["s"], coeff_gap, quad_gap)], [("pass", ok)])
 
 
-def _cmd_wrap(eff: dict) -> int:
+def _cmd_wrap(eff: dict) -> tuple:
     if not eff["mixture"]:
         raise DomainError("wrap needs --mixture w1:s1,w2:s2,...")
     g = make_group(eff["group"])
@@ -216,34 +216,31 @@ def _cmd_wrap(eff: dict) -> int:
         (";".join(str(c) for c in w.coords), w.dimension, f.coeffs[w])
         for w in f._sorted_weights()
     ]
-    _emit(eff, ["weight", "dimension", "coefficient"], rows,
-          [("effective_cutoff", float(cutoff)), ("terms", len(rows))])
-    return 0
+    return (["weight", "dimension", "coefficient"], rows,
+            [("effective_cutoff", float(cutoff)), ("terms", len(rows))])
 
 
-def _cmd_wraplap_check(eff: dict) -> int:
+def _cmd_wraplap_check(eff: dict) -> tuple:
     g = make_group(eff["group"])
     nu = RadialFunction.gaussian(g.dim, eff["t"])
     cutoff = auto_cutoff(g, nu, eff["tol"])
     gap = wraplap_check(g, nu, cutoff)
     ok = gap < eff["threshold"]
-    _emit(eff, ["t", "gap"], [(eff["t"], gap)],
-          [("effective_cutoff", float(cutoff)), ("pass", ok)])
-    return 0 if ok else 1
+    return (["t", "gap"], [(eff["t"], gap)],
+            [("effective_cutoff", float(cutoff)), ("pass", ok)])
 
 
-def _cmd_simulate(eff: dict) -> int:
+def _cmd_simulate(eff: dict) -> tuple:
     g = make_group(eff["group"])
     cfg = SdeConfig(group=g, t=eff["t"], step=eff["step"], paths=eff["paths"],
                     seed=eff["seed"], chunk=eff["chunk"])
     score, rows = empirical_density_table(g, cfg, eff["bins"], eff["threads"])
     ok = bool(score < 1.0)
-    _emit(eff, ["bin_lo", "bin_hi", "expected", "observed", "rel_dev",
-                "threshold"], rows, [("score", score), ("pass", ok)])
-    return 0 if ok else 1
+    return (["bin_lo", "bin_hi", "expected", "observed", "rel_dev",
+             "threshold"], rows, [("score", score), ("pass", ok)])
 
 
-def _cmd_wrap_bm_check(eff: dict) -> int:
+def _cmd_wrap_bm_check(eff: dict) -> tuple:
     g = make_group(eff["group"])
     coords = (_parse_rep(eff["rep"], g.rank) if eff["rep"]
               else (1,) + (0,) * (g.rank - 1))
@@ -254,15 +251,14 @@ def _cmd_wrap_bm_check(eff: dict) -> int:
     gap = abs(rep.lhs.mean - rep.rhs.mean)
     allowance = 3.0 * math.hypot(rep.lhs.stderr, rep.rhs.stderr) + 5.0 * eff["step"]
     ok = gap <= allowance
-    _emit(eff, ["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "gap",
-                "z", "allowance"],
-          [(rep.lhs.mean, rep.lhs.stderr, rep.rhs.mean, rep.rhs.stderr, gap,
-            rep.z, allowance)],
-          [("effective_rep", ",".join(map(str, coords))), ("pass", ok)])
-    return 0 if ok else 1
+    return (["lhs_mean", "lhs_stderr", "rhs_mean", "rhs_stderr", "gap", "z",
+             "allowance"],
+            [(rep.lhs.mean, rep.lhs.stderr, rep.rhs.mean, rep.rhs.stderr, gap,
+              rep.z, allowance)],
+            [("effective_rep", ",".join(map(str, coords))), ("pass", ok)])
 
 
-def _cmd_bend(eff: dict) -> int:
+def _cmd_bend(eff: dict) -> tuple:
     g = make_group(eff["group"])
     gc = complexify(g)
     pts = alcove_points(g, eff["grid"]) * eff["scale"]
@@ -281,14 +277,12 @@ def _cmd_bend(eff: dict) -> int:
             "reduce --scale or increase --t"
         )
     ok = float(finite.max()) <= eff["threshold"]
-    _emit(eff, _coord_columns(g.rank) + ["value", "ratio_to_flat", "inv_j",
-                                         "gap"], rows,
-          [("compared", len(finite)), ("max_gap", float(finite.max())),
-           ("pass", ok)])
-    return 0 if ok else 1
+    return (_coord_columns(g.rank) + ["value", "ratio_to_flat", "inv_j", "gap"],
+            rows, [("compared", len(finite)), ("max_gap", float(finite.max())),
+                   ("pass", ok)])
 
 
-def _cmd_catalog(eff: dict) -> int:
+def _cmd_catalog(eff: dict) -> tuple:
     names = ([eff["group"]] if eff["group"]
              else ["torus1", "torus2", "su2", "so3", "su2xsu2", "su3"])
     rows = []
@@ -296,9 +290,8 @@ def _cmd_catalog(eff: dict) -> int:
         g = make_group(name)
         rows.append((g.name, g.rank, g.dim, g.n_positive_roots, g.weyl_order,
                      g.is_abelian, g.rho_norm_sq, g.cell_volume, g.volume))
-    _emit(eff, ["name", "rank", "dim", "positive_roots", "weyl_order",
-                "abelian", "rho_norm_sq", "cell_volume", "volume"], rows, [])
-    return 0
+    return (["name", "rank", "dim", "positive_roots", "weyl_order", "abelian",
+             "rho_norm_sq", "cell_volume", "volume"], rows, [])
 
 
 _COMMANDS: dict = {
@@ -409,12 +402,15 @@ _COMMANDS: dict = {
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict[str, str]:
+def _config_flags(command: str, path: str) -> list[str]:
+    """One ``--key=value`` per ``key = value`` line, typed and checked by the
+    parser like any flag (``=`` keeps ``-0.5:0.3`` from reading as a flag)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
+    names = {p.name for p in _COMMON + _COMMANDS[command][2]}
+    flags, unknown = [], set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -422,51 +418,29 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
+        key = key.strip().replace("-", "_")
+        if key not in names:  # exact, so no prefix abbreviation applies
+            unknown.add(key)
+        flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    if unknown:
+        raise DomainError(f"unknown config keys for {command}: "
+                          f"{', '.join(sorted(unknown))}")
+    return flags
 
 
-_UNSET = object()
+def _checked(kind: type):
+    """argparse type for ``kind``; a bad value reads "'x' is not a valid float"."""
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a valid {kind.__name__}") from None
+    return convert
 
 
-def _effective(command: str, ns: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over declared defaults."""
-    params = _COMMON + _COMMANDS[command][2]
-    by_name = {p.name: p for p in params}
-    file_values = {}
-    config_path = getattr(ns, "config")
-    if config_path is not _UNSET and config_path is not None:
-        file_values = _load_config(config_path)
-        unknown = set(file_values) - set(by_name)
-        if unknown:
-            raise DomainError(
-                f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
-            )
-    eff = {"command": command}
-    for p in params:
-        flag = getattr(ns, p.name)
-        if flag is not _UNSET:
-            eff[p.name] = flag
-        elif p.name in file_values:
-            raw = file_values[p.name]
-            try:
-                eff[p.name] = p.type(raw)
-            except ValueError as exc:
-                raise DomainError(
-                    f"config key {p.name}={raw!r} is not a valid {p.type.__name__}"
-                ) from exc
-            if p.choices and eff[p.name] not in p.choices:
-                raise DomainError(
-                    f"config key {p.name}={raw!r} not one of {p.choices}"
-                )
-        else:
-            eff[p.name] = p.default
-    if "group" in eff and eff["group"] is None and command != "catalog":
-        raise DomainError("missing required parameter: group")
-    return eff
-
-
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrapkit",
         description="heat kernels on compact groups three ways, cross-checked",
@@ -475,24 +449,27 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (help_, _handler, params) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for p in _COMMON + params:
-            kwargs = {"default": _UNSET, "help": p.help, "dest": p.name}
+            kwargs = {"default": p.default, "help": p.help, "dest": p.name}
             if p.choices:
                 kwargs["choices"] = p.choices
             if p.type is not str:
-                kwargs["type"] = p.type
+                kwargs["type"] = _checked(p.type)
             sp.add_argument("--" + p.name.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
+        if ns.config is not None:
+            ns = _parser().parse_args(  # the file's values first: flags win
+                argv[:1] + _config_flags(ns.command, ns.config) + argv[1:])
+        if ns.group is None and ns.command != "catalog":
+            raise DomainError("missing required parameter: group")
+        columns, rows, results = _COMMANDS[ns.command][1](vars(ns))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        eff = _effective(ns.command, ns)
-        return _COMMANDS[ns.command][1](eff)
     except (CatalogError, ContractError, DomainError, ResolutionError,
             SingularityError) as exc:
         print(f"wrapkit: error: {exc}", file=sys.stderr)
@@ -500,6 +477,8 @@ def main(argv=None) -> int:
     except (InstabilityError, ResourceLimitError) as exc:
         print(f"wrapkit: error: {exc}", file=sys.stderr)
         return 1
+    _emit(vars(ns), columns, rows, results)
+    return 0 if dict(results).get("pass", True) else 1
 
 
 if __name__ == "__main__":

@@ -114,7 +114,6 @@ class _RawGroup:
     weight_gens: tuple[tuple[Fraction, ...], ...]
     gamma_gens: tuple[tuple[Fraction, ...], ...]
     factor_names: tuple[str, ...]
-    factor_slices: tuple[tuple[int, int], ...]
 
     @property
     def rank(self) -> int:
@@ -140,7 +139,6 @@ def _raw_torus(n: int) -> _RawGroup:
         weight_gens=gens,
         gamma_gens=gens,
         factor_names=(f"torus{n}",),
-        factor_slices=((0, n),),
     )
 
 
@@ -166,7 +164,6 @@ def _raw_sun(n: int) -> _RawGroup:
         ),
         gamma_gens=tuple(vec({i: 1, i + 1: -1}) for i in range(n - 1)),
         factor_names=(f"su{n}",),
-        factor_slices=((0, n - 1),),
     )
 
 
@@ -180,8 +177,6 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
             out[offsets[idx] + j] = val
         return tuple(out)
 
-    rank_offsets = list(itertools.accumulate([0] + [p.rank for p in parts]))
-
     def lift(key):
         return tuple(embed(v, idx) for idx, p in enumerate(parts) for v in getattr(p, key))
 
@@ -194,11 +189,6 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
         weight_gens=lift("weight_gens"),
         gamma_gens=lift("gamma_gens"),
         factor_names=tuple(n for p in parts for n in p.factor_names),
-        factor_slices=tuple(
-            (rank_offsets[idx] + a, rank_offsets[idx] + b)
-            for idx, p in enumerate(parts)
-            for (a, b) in p.factor_slices
-        ),
     )
 
 
@@ -334,7 +324,6 @@ class GroupSpec:
     cell_volume: float
     volume: float
     factor_names: tuple
-    factor_slices: tuple
     _weyl_mats: np.ndarray = field(repr=False)
     _weyl_signs: np.ndarray = field(repr=False)
     _coord_map: np.ndarray = field(repr=False)   # (rank, ambient): v -> coords
@@ -427,7 +416,6 @@ def _finish(raw: _RawGroup) -> GroupSpec:
         cell_volume=cell,
         volume=volume,
         factor_names=raw.factor_names,
-        factor_slices=raw.factor_slices,
         _weyl_mats=mats,
         _weyl_signs=signs,
         _coord_map=coord_map,

@@ -31,7 +31,6 @@ from .errors import (
     ContractError,
     DomainError,
     InstabilityError,
-    ResolutionError,
     SingularityError,
 )
 from .groups import (
@@ -451,18 +450,7 @@ def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> flo
 # quadrature analysis
 # ---------------------------------------------------------------------------
 
-def required_grid_points(g: GroupSpec, cutoff: float) -> int:
-    """Points per dimension needed so the character quadrature below is
-    alias-free for functions band-limited by the same cutoff."""
-    return 2 * _frequencies(g, enumerate_weights(g, cutoff))[1] + 1
-
-
-def fourier_coefficients(
-    g: GroupSpec,
-    f,
-    cutoff: float,
-    n: int | None = None,
-) -> CentralFunction:
+def fourier_coefficients(g: GroupSpec, f, cutoff: float) -> CentralFunction:
     """Character coefficients c_lambda = integral f conj(chi_lambda) dHaar by
     the Weyl integration formula on a uniform grid over the fundamental cell.
 
@@ -473,20 +461,13 @@ def fourier_coefficients(
     spectrum, so nothing is divided by den; realness is checked at regular
     grid points.
     Exact (to rounding) for f band-limited within ``cutoff``; content beyond
-    the grid bandwidth aliases as for the trapezoidal rule.  ``n`` below the
-    alias-free size raises ResolutionError stating the required count.
+    the grid bandwidth aliases as for the trapezoidal rule.
     """
     ws = enumerate_weights(g, cutoff)
     if not ws:
         return CentralFunction(g, {}, cutoff)
     idx, band = _frequencies(g, ws)
-    need = 2 * band + 1
-    n = need if n is None else n
-    if n < need:
-        raise ResolutionError(
-            f"{g.name}: quadrature grid of {n} points per dimension is "
-            f"under-resolved for cutoff {cutoff}; needs at least {need}"
-        )
+    n = 2 * band + 1  # alias-free for functions band-limited by the cutoff
     grid = cell_grid(g, n)
     den = weyl_denominator(g, grid) * np.exp(-1j * (grid @ g.rho))
     if isinstance(f, CentralFunction) and f.group is g:

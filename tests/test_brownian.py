@@ -423,6 +423,17 @@ def test_empirical_density_guards():
     assert empirical_density_table(su2, cfg, 4)[0] < 1.0
 
 
+def test_group_argument_must_match_the_config():
+    # a group passed beside a config built for another group would compare
+    # one group's side against the other's paths and still return numbers
+    su2, so3 = make_group("su2"), make_group("so3")
+    cfg = SdeConfig(group=so3, t=0.5, step=5e-3, paths=1000, seed=1)
+    with pytest.raises(DomainError, match="su2.*so3"):
+        wrap_bm_check(su2, real_character(su2, (1,)), cfg)
+    with pytest.raises(DomainError, match="su2.*so3"):
+        empirical_density_table(su2, cfg, 8)
+
+
 # ---------------------------------------------------------------------------
 # weak order of the integrator
 # ---------------------------------------------------------------------------

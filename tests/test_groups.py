@@ -155,7 +155,7 @@ def test_sun_root_data_matches_the_hand_tables():
     assert raw.simple_roots == raw.pos_roots[:2]
     assert raw.weight_gens == ((2 * s, -s, -s), (s, s, -2 * s))
     assert raw.gamma_gens == ((1, -1, 0), (0, 1, -1))
-    assert raw.factor_names == ("su3",) and raw.factor_slices == ((0, 2),)
+    assert raw.factor_names == ("su3",)
     # rank one: the frozen su2 and so3 float data
     for name, wb, gb in (("su2", 0.5, 4 * math.pi), ("so3", 1.0, TWO_PI)):
         g = make_group(name)

@@ -99,9 +99,10 @@ def test_plain_kernel_positive_and_normalized():
         near = alcove_points(g, 30) * 0.6
         vals = spectral_heat_kernel(g, near, 0.3, shifted=False, tol=1e-10)
         assert np.all(vals > 0)
+        # cutoff 1600 sets a grid of 81 points (torus1, so3) or 161 (su2)
         coeffs = fourier_coefficients(
             g, lambda H: spectral_heat_kernel(g, H, 0.3, shifted=False, tol=1e-8),
-            1.0, n=81).coeffs
+            1600.0).coeffs
         mass = coeffs[g.weight((0,) * g.rank)]
         assert abs(mass - 1.0) < 1e-6
 

@@ -21,7 +21,6 @@ from wrapkit import (
     DomainError,
     InstabilityError,
     RadialFunction,
-    ResolutionError,
     SingularityError,
     alcove_points,
     auto_cutoff,
@@ -29,7 +28,6 @@ from wrapkit import (
     fourier_coefficients,
     laplacian_spectral,
     make_group,
-    required_grid_points,
     spectral_heat_kernel,
     weight,
     wrap_lattice,
@@ -269,19 +267,13 @@ def test_fourier_coefficients_round_trip():
 def test_so3_quadrature_grid_is_odd():
     # so3 frequencies w(lambda + rho) are half-integral against the dual of
     # gamma_basis; the rho-shifted ones are integral and the grid rounds up
+    # (the grid size is the expression fourier_coefficients computes)
+    from wrapkit.groups import _frequencies, enumerate_weights
     so3 = make_group("so3")
     for cutoff, need in ((0.3, 3), (5.0, 5), (37.3, 13), (615.0, 51)):
-        got = required_grid_points(so3, cutoff)
+        got = 2 * _frequencies(so3, enumerate_weights(so3, cutoff))[1] + 1
         assert isinstance(got, int) and got % 2 == 1
         assert got == need
-
-
-def test_fourier_coefficients_under_resolved():
-    su2 = make_group("su2")
-    need = required_grid_points(su2, 9.0)
-    assert need >= 2
-    with pytest.raises(ResolutionError, match=str(need)):
-        fourier_coefficients(su2, lambda H: np.ones(len(H)), 9.0, n=need - 1)
 
 
 def test_fourier_coefficients_callable_contract():
