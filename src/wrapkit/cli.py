@@ -444,10 +444,11 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wrapkit",
         description="heat kernels on compact groups three ways, cross-checked",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_, _handler, params) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         for p in _COMMON + params:
             kwargs = {"default": p.default, "help": p.help, "dest": p.name}
             if p.choices:

@@ -20,9 +20,10 @@ dimension count dim = rank + 2 * #positive_roots.  An integer layer (that
 data times the lcm of its denominators) enumerates and measures weights by
 exact int64 forms.  A numeric layer then fixes an orthonormal basis of the
 Cartan subalgebra and exposes float data (roots as covectors, rho, lattice
-bases, Weyl matrices).  Character combinations are synthesised from the
-integer frequencies of ``_frequencies`` by one formula at every point
-(``CharacterTable``).
+bases, Weyl matrices).  A character combination is put in weight form once:
+its alternating spectrum at the integer frequencies w(lambda + rho) - rho is
+divided by the Weyl denominator, root by root, and the points then take a
+plain synthesis with no denominator (``CharacterTable``).
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ TWO_PI = 2.0 * math.pi
 # Candidate/result caps for lattice walks (resource guard, not physics).
 WEIGHT_CAP = 200_000
 LATTICE_CAP = 1_000_000
-
-# |sin(alpha(H)/2)| below this means H sits on (or hugs) a singular wall and
-# counts toward the wall order s of the character synthesis.
-_SINGULAR_SIN = 5e-5
 
 # |alpha(H)| below this switches sin(x/2)/(x/2) to its Taylor series.
 _J_SERIES_CUT = 1e-4
@@ -593,10 +590,21 @@ def orbit_stack(g: GroupSpec, weights: list[Weight]) -> np.ndarray:
     return np.einsum("wij,lj->lwi", g._weyl_mats, mus)
 
 
+@lru_cache(maxsize=None)
+def _weyl_on_indices(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """W on dual indices, in integers: (rank, |W| * rank) maps, with coords @ maps
+    listing idx(w lambda) over W for lambda = coords @ weight_basis, and (|W|, rank)
+    idx(w rho - rho) (integral, as w rho - rho is a sum of roots)."""
+    maps = dual_index(g, np.einsum("wij,kj->kwi", g._weyl_mats, g.weight_basis))
+    return maps.reshape(g.rank, -1), dual_index(g, g._weyl_mats @ g.rho - g.rho)
+
+
 def _frequencies(g: GroupSpec, weights: list[Weight]) -> tuple[np.ndarray, int]:
-    """(L, |W|, rank) dual indices of w(lambda + rho) - rho (integral, as w rho - rho
-    is a sum of roots) and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
-    idx = dual_index(g, orbit_stack(g, weights) - g.rho)
+    """(L, |W|, rank) dual indices of w(lambda + rho) - rho = w lambda + (w rho - rho)
+    and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
+    maps, shifts = _weyl_on_indices(g)
+    coords = np.array([w.coords for w in weights], dtype=np.int64).reshape(-1, g.rank)
+    idx = (coords @ maps).reshape(-1, g.weyl_order, g.rank) + shifts
     return idx, (int(np.max(np.abs(2 * idx + dual_index(g, 2.0 * g.rho)), initial=0)) + 1) // 2
 
 
@@ -615,61 +623,82 @@ def as_real_checked(values: np.ndarray, context: str, scale: float = 1.0):
     return np.ascontiguousarray(values.real)
 
 
-def _synthesise(start: np.ndarray, spec: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k spec[:, k] e^{2 pi i u_k.y}, u_k = start + k symmetric about 0, per row
-    of y, shape (len(spec), P): a matrix product on the last axis, then a
-    contraction per other axis.  Each axis tabulates its rows u >= 0 and
-    takes the rows u < 0 as their conjugates."""
+def _synthesise(spec: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_u spec[u] e^{2 pi i u.y} per row of y, for a real spec on a box of odd
+    sides centred on u = 0: two real matrix products on the last axis, then a
+    contraction per other axis.  Each axis tabulates its rows u >= 0 and takes
+    the rows u < 0 as their conjugates."""
     # blocks of points with ~2**17 complex table and contraction entries bound the memory
-    step = max(1, 2**17 // (spec.size // spec.shape[-1] + 2 * sum(spec.shape[1:])))
+    step = max(1, 2**17 // (spec.size // spec.shape[-1] + 2 * sum(spec.shape)))
     if len(y) > step:
-        return np.concatenate([_synthesise(start, spec, y[i:i + step])
-                               for i in range(0, len(y), step)], axis=1)
+        return np.concatenate([_synthesise(spec, y[i:i + step])
+                               for i in range(0, len(y), step)])
     tables = []
-    for j, n in enumerate(spec.shape[1:]):
-        h = (n + 1) // 2
-        upper = np.exp(TWO_PI * 1j * np.outer(start[j] + n - h + np.arange(h), y[:, j]))
-        tables.append(np.concatenate([upper[::-1][:n - h].conj(), upper]))     # (n_j, P)
-    acc = (spec.reshape(-1, spec.shape[-1]) @ tables[-1]).reshape(spec.shape[:-1] + (len(y),))
+    for j, n in enumerate(spec.shape):
+        upper = np.exp(TWO_PI * 1j * np.outer(np.arange(n // 2 + 1), y[:, j]))
+        tables.append(np.concatenate([upper[:0:-1].conj(), upper]))            # (n_j, P)
+    rows = spec.reshape(-1, spec.shape[-1])
+    acc = rows @ tables[-1].real + 1j * (rows @ tables[-1].imag)
+    acc = acc.reshape(spec.shape[:-1] + (len(y),))
     for table in tables[-2::-1]:
         acc = np.einsum("...kp,kp->...p", acc, table)
     return acc
 
 
-def _weyl_derivative(half: np.ndarray, sines: np.ndarray, slope: np.ndarray, s: int):
-    """i^-s d^s/dt^s prod_alpha 2i sin(half_alpha + t slope_alpha / 2) at t = 0, per
-    row of half = alpha(H)/2 (sines = sin(half)), by truncated Taylor series."""
-    if s == 0:
-        return (2j * sines).prod(axis=1)
-    j = np.arange(s + 1)[:, None, None]
-    derivs = np.stack([sines, np.cos(half), -sines, -np.cos(half)])[j[:, 0, 0] % 4]
-    series = 2j * derivs * (slope / 2) ** j / np.cumprod(np.maximum(j, 1), axis=0)
-    out = np.eye(s + 1, 1) * np.ones(len(half))                  # the series 1, (s + 1, P)
-    for f in np.moveaxis(series, 2, 0):
-        out = np.array([sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(s + 1)])
-    return out[s] * math.factorial(s) * (-1j) ** s
+def _divide_root(q: np.ndarray, a: np.ndarray) -> None:
+    """Each part q[..., r] / (1 - x^-a) in place, by Q(k) = P(k) + Q(k + a) with
+    Q = 0 outside the box: layer by layer along an axis j where a_j != 0, from
+    the layer whose layer + a_j leaves the box.  Exact when the quotient is a
+    Laurent polynomial whose support, like P's, lies in the box."""
+    j = int(np.flatnonzero(a)[0])
+    q = np.moveaxis(q, j, 0)
+    step = int(a[j])
+    src, dst = [], []
+    for d, n in zip(np.delete(a, j).tolist(), q.shape[1:]):
+        m = max(n - abs(d), 0)
+        src.append(slice(max(d, 0), max(d, 0) + m))
+        dst.append(slice(max(-d, 0), max(-d, 0) + m))
+    layers = range(len(q) - 1 - step, -1, -1) if step > 0 else range(-step, len(q))
+    for i in layers:
+        q[(i, *dst)] += q[(i + step, *src)]
 
 
-@lru_cache(maxsize=None)
-def _synthesis_frame(g: GroupSpec) -> tuple:
-    """Per-group constants of ``CharacterTable``: Gamma^-1, idx(-2 rho), <alpha, v>."""
-    return (np.linalg.inv(g.gamma_basis), -dual_index(g, 2.0 * g.rho),
-            g.positive_roots @ g.rho / math.sqrt(g.rho_norm_sq))
+def _weight_form(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> np.ndarray:
+    """The weight-form spectrum Q(mu) = sum_lambda c_lambda m_lambda(mu) on the box
+    |idx(mu)| <= half = max |idx(w lambda)|, symmetric about 0, from integer data.
+    The alternating numerator, c_lambda det(w) at idx(w lambda) + idx(w rho - rho),
+    is divided by prod_alpha>0 (1 - x^-alpha) in a box that holds its support, and
+    so every partial quotient's (their Newton polytopes lie in the numerator's).
+    The weights of lambda lie in the hull of W lambda, so the trim to half drops
+    rounding residue only."""
+    maps, shifts = _weyl_on_indices(g)
+    coords = np.array([w.coords for w in weights], dtype=np.int64).reshape(-1, g.rank)
+    half = np.abs(coords @ maps).max(0, initial=0).reshape(-1, g.rank).max(0)
+    lo = shifts.min(0) - half
+    shape = tuple(shifts.max(0) + half - lo + 1)
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(g.rank)])
+    # C-order positions of idx(w lambda) + idx(w rho - rho) - lo, linear in coords
+    at = coords @ (maps.reshape(g.rank, -1, g.rank) @ strides) + (shifts - lo) @ strides
+    p = np.bincount(at.ravel(), (coeffs[:, None] * g._weyl_signs).ravel(),
+                    math.prod(shape)).reshape(shape)
+    # P = high + low, high a multiple of quantum = 2^(e - 26) where max |P| < 2^e:
+    # sums of high stay exact while they grow less than 2^27-fold (su4 at t = 0.2
+    # grows 1e3-fold) and low's rounding is 2^-26 of theirs, so Q is rounded once
+    quantum = 2.0 ** (math.frexp(float(np.abs(p).max(initial=0)))[1] - 26)
+    high = np.round(p / quantum) * quantum
+    q = np.stack([high, p - high], axis=-1)
+    for a in dual_index(g, g.positive_roots):
+        _divide_root(q, a)
+    q = q[..., 0] + q[..., 1]
+    return np.ascontiguousarray(q[tuple(slice(-h - b, h - b + 1) for h, b in zip(half, lo))])
 
 
 class CharacterTable:
-    """sum_lambda c_lambda chi_lambda (real c_lambda), synthesised from the
-    integer frequencies k = idx(w(lambda + rho) - rho) of ``_frequencies``.
-
-    On s singular walls (s = 0 when regular, s = m at the origin) both sums
-    of the Weyl quotient vanish to order s along v = rho / ||rho||, so every
-    point takes one formula: the order-s synthesis (coefficients c_lambda
-    det(w) <w(lambda + rho), v>^s) over that of the trivial character, the
-    ``_weyl_derivative``.  Points within the singular tolerance of a wall
-    get the wall value, an O(dist) difference.  Even and odd spectrum parts
-    under w(lambda + rho) -> -w(lambda + rho) give a cosine and a sine
-    series, so terms that cancel near the identity cancel exactly.
-    ``scale`` = sum |c_lambda| d_lambda bounds the values.
+    """sum_lambda c_lambda chi_lambda (real c_lambda) in weight form: the
+    multiplicity form of the Weyl character formula, sum_mu Q(mu) e^{i mu(H)} with
+    Q(mu) = sum_lambda c_lambda m_lambda(mu), built once from integer data by
+    ``_weight_form``.  Nothing is divided at the points, so regular points, walls
+    and the origin take the same plain synthesis.  ``scale`` = sum |c_lambda| d_lambda bounds the values.
     """
 
     def __init__(self, g: GroupSpec, weights: list[Weight], coeffs):
@@ -677,48 +706,18 @@ class CharacterTable:
         self.weights = list(weights)
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.scale = float(np.abs(self.coeffs) @ [float(w.dimension) for w in self.weights])
-        self._freq = _frequencies(g, self.weights)[0]
-        self._to_cell, self._centre, self._slope = _synthesis_frame(g)
-        self._spectra = {}
+        self._to_cell = np.linalg.inv(g.gamma_basis)
+        self._q = _weight_form(g, self.weights, self.coeffs)
 
-    def spectrum(self, order: int):
-        """(lo, [even, odd]): the order-s coefficients scattered over a box of
-        frequencies from lo, symmetric about centre / 2; cached.  Uses
-        <w(lambda + rho), v> = ||rho|| + 2pi k.Gamma^-T v."""
-        if order not in self._spectra:
-            g = self.group
-            vals = self.coeffs[:, None] * g._weyl_signs
-            if order:
-                axis = TWO_PI * np.linalg.solve(g.gamma_basis.T, g.rho / math.sqrt(g.rho_norm_sq))
-                vals = vals * (math.sqrt(g.rho_norm_sq) + self._freq @ axis) ** order
-            flat = self._freq.reshape(-1, g.rank)
-            lo = np.minimum(flat.min(0, initial=0), self._centre - flat.max(0, initial=0))
-            spec = np.zeros(self._centre - 2 * lo + 1, dtype=complex)
-            np.add.at(spec, tuple((flat - lo).T), vals.ravel())
-            self._spectra[order] = lo, np.stack([spec + np.flip(spec), spec - np.flip(spec)]) / 2
-        return self._spectra[order]
+    def spectrum(self):
+        """(lo, Q): the real weight-form spectrum, Q[k] the coefficient of the
+        weight with dual index lo + k, on a box symmetric about 0."""
+        return -(np.array(self._q.shape) // 2), self._q
 
     def values(self, H):
         """One complex value per point, shape (P,) (a scalar for one point)."""
-        g = self.group
-        points, single = _as_points(g, H)
-        half = (points @ g.positive_roots.T) / 2.0
-        sines = np.sin(half)
-        order = np.sum(np.abs(sines) <= _SINGULAR_SIN, axis=1)
-        y = points @ self._to_cell
-        out = np.empty(len(points), dtype=complex)
-        orders = np.flatnonzero(np.bincount(order))
-        for s in orders:
-            sel = order == s if len(orders) > 1 else slice(None)
-            den = _weyl_derivative(half[sel], sines[sel], self._slope, s)
-            if s and np.min(np.abs(den)) < 1e-8:
-                raise InstabilityError(
-                    f"{g.name}: degenerate wall-limit denominator "
-                    f"(order {s}) at a singular point"
-                )
-            lo, spec = self.spectrum(s)
-            even, odd = _synthesise(lo - self._centre / 2.0, spec, y[sel])
-            out[sel] = (even.real + 1j * odd.imag) / den
+        points, single = _as_points(self.group, H)
+        out = _synthesise(self._q, points @ self._to_cell)
         return out[0] if single else out
 
 

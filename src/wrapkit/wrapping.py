@@ -3,8 +3,8 @@ on the group, in two independently computable forms.
 
 The spectral form expands the transported function in irreducible characters
 with coefficients d_lambda * nu_hat(lambda + rho), evaluated by
-``groups.CharacterTable``, whose spectrum ``fourier_coefficients`` also reads
-for its inverse FFT.  The geodesic form sums
+``groups.CharacterTable``, whose weight-form spectrum ``fourier_coefficients``
+also reads for its inverse FFT.  The geodesic form sums
 nu / j over the translates of a torus point by the exponential kernel
 lattice and scales by the Riemannian group volume.  For a Gaussian these are
 the two sides of the Poisson summation identity on the group, and the
@@ -40,7 +40,6 @@ from .groups import (
     alcove_points,
     as_real_checked,
     TWO_PI,
-    _SINGULAR_SIN,
     _frequencies,
     cell_grid,
     enumerate_weights,
@@ -261,10 +260,10 @@ class CentralFunction:
         return self._table
 
     def evaluate(self, H):
-        """Pointwise values on torus point(s), synthesised by the
-        ``CharacterTable`` at every point (regular, on walls, the origin);
-        real by coefficient symmetry, which ``as_real_checked`` enforces
-        against the scale sum |c_lambda| d_lambda."""
+        """Pointwise values on torus point(s), synthesised from the weight-form
+        spectrum of the ``CharacterTable`` by one formula at every point
+        (regular, on walls, the origin); real by coefficient symmetry, which
+        ``as_real_checked`` enforces against the scale sum |c_lambda| d_lambda."""
         vals = self.table().values(H)
         total = as_real_checked(np.atleast_1d(vals), f"central function on {self.group.name}",
                                 scale=self.table().scale)
@@ -457,9 +456,8 @@ def fourier_coefficients(g: GroupSpec, f, cutoff: float) -> CentralFunction:
     With den = e^{-i<rho, H>} * Weyl denominator, a function on the torus,
     c_lambda is the Weyl-signed mean of the DFT (``fftn``) of f * den at the
     integer frequencies w(lambda + rho) - rho.  For a CentralFunction of the
-    same group f * den is the inverse FFT of its ``CharacterTable`` order-0
-    spectrum, so nothing is divided by den; realness is checked at regular
-    grid points.
+    same group f on the grid is the inverse FFT of its ``CharacterTable``
+    weight-form spectrum, checked real at every grid point.
     Exact (to rounding) for f band-limited within ``cutoff``; content beyond
     the grid bandwidth aliases as for the trapezoidal rule.
     """
@@ -471,18 +469,16 @@ def fourier_coefficients(g: GroupSpec, f, cutoff: float) -> CentralFunction:
     grid = cell_grid(g, n)
     den = weyl_denominator(g, grid) * np.exp(-1j * (grid @ g.rho))
     if isinstance(f, CentralFunction) and f.group is g:
-        lo, box = f.table().spectrum(0)
-        spectrum = np.zeros((n,) * g.rank, dtype=complex)
-        np.add.at(spectrum, np.ix_(*((a + np.arange(m)) % n for a, m in zip(lo, box.shape[1:]))),
-                  box[0] + box[1])
-        h = np.fft.ifftn(spectrum).ravel() * len(grid)
-        reg = wall_distance(g, grid) > _SINGULAR_SIN
-        fv = as_real_checked(h[reg] / den[reg], f"central function on {g.name}", f.table().scale)
+        lo, q = f.table().spectrum()
+        spectrum = np.zeros((n,) * g.rank)
+        np.add.at(spectrum, np.ix_(*((a + np.arange(m)) % n for a, m in zip(lo, q.shape))), q)
+        fv = as_real_checked(np.fft.ifftn(spectrum).ravel() * len(grid),
+                             f"central function on {g.name}", f.table().scale)
     else:
         fv = np.asarray(f(grid), dtype=float)
         if fv.shape != (len(grid),):
             raise DomainError("central-function contract returned a bad shape")
-        h = fv * den
+    h = fv * den
     spectrum = np.fft.fftn(h.reshape((n,) * g.rank)) / len(grid)
     vals = as_real_checked(
         spectrum[tuple(np.moveaxis(idx % n, -1, 0))] @ g._weyl_signs / g.weyl_order,

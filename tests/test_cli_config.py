@@ -85,6 +85,13 @@ def test_config_key_must_name_a_parameter_exactly(tmp_path, capsys):
     assert "unknown config keys for poisson-check: thresh" in capsys.readouterr().err
 
 
+def test_flag_prefix_is_no_flag(tmp_path, capsys):
+    # the same prefix is refused as a flag, just as it is as a config key
+    code, _ = _run(["poisson-check", "--group", "su2", "--thresh=1e-9"], tmp_path, "out.csv")
+    assert code == 2
+    assert "unrecognized arguments: --thresh=1e-9" in capsys.readouterr().err
+
+
 def test_bad_config_choice_reads_like_a_bad_flag(tmp_path, capsys):
     path = _config(tmp_path, "format = xml\n")
     code, _ = _run(["catalog", "--config", path], tmp_path, "file.csv")

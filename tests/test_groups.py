@@ -371,6 +371,32 @@ def test_character_batch_matches_pointwise():
         assert_allclose(complex(row), su2_char(3, theta), rtol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["su5"])
+def test_single_character_spectrum_is_its_weight_multiplicities(name):
+    # the weight form of one character holds the multiplicities m(mu) of
+    # its weights: nonnegative integers summing to the dimension, constant
+    # on W-orbits
+    g = make_group(name)
+    for lam in enumerate_weights(g, g.rho_norm_sq + 12.0)[:6]:
+        lo, q = groups.CharacterTable(g, [lam], [1.0]).spectrum()
+        assert np.all(np.abs(q - np.rint(q)) <= 1e-9) and np.all(np.rint(q) >= 0)
+        assert round(q.sum()) == weyl_dimension(g, lam.coords)
+        ks = np.argwhere(np.rint(q) > 0) + lo
+        mus = TWO_PI * ks @ np.linalg.inv(g.gamma_basis).T
+        for mat, _ in g.weyl_group:
+            images = dual_index(g, mus @ mat.T) - lo
+            assert_allclose(q[tuple(images.T)], q[tuple((ks - lo).T)], atol=1e-9)
+
+
+@pytest.mark.parametrize("name, coords, zero, total", [("su3", (1, 1), 2, 8),
+                                                       ("su4", (1, 0, 1), 3, 15)])
+def test_adjoint_spectrum_holds_the_rank_at_zero(name, coords, zero, total):
+    g = make_group(name)
+    lo, q = groups.CharacterTable(g, [weight(g, coords)], [1.0]).spectrum()
+    assert_allclose(q[tuple(-lo)], zero, atol=1e-9)
+    assert_allclose(q.sum(), total, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the jacobian factor j and its determinant oracle
 # ---------------------------------------------------------------------------

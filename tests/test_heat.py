@@ -119,6 +119,29 @@ def test_trace_identity_at_origin():
         assert_allclose(tr, series, rtol=1e-10)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_su4_kernel_near_the_identity_matches_its_taylor_value(t):
+    # f(H) = sum c d - |H|^2 / (2 dim) sum c d (|lambda+rho|^2 - |rho|^2) + R:
+    # each weight mu of lambda gives cos(mu(H)) = 1 - mu(H)^2/2 + r with
+    # |r| <= mu(H)^4/24 <= |H|^4 |lambda + rho|^4 / 24, and W acts
+    # irreducibly on the Cartan of a simple group, so sum_mu m(mu) mu(H)^2 =
+    # d C |H|^2 / dim.  Regular points this close to the six walls through
+    # the identity are where a Weyl quotient loses every digit.
+    g = make_group("su4")
+    f = heat_coefficients(g, t)
+    c = np.array(list(f.coeffs.values()))
+    d = np.array([w.dimension for w in f.coeffs], dtype=float)
+    q2 = np.array([w.lambda_plus_rho_norm_sq for w in f.coeffs])
+    scale = float(np.abs(c) @ d)
+    dirs = np.random.default_rng(11).normal(size=(30, g.rank))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for dist in (1e-3, 2e-3, 4e-3, 1e-2):
+        vals = f.evaluate(dist * dirs)
+        taylor = c @ d - dist**2 / (2 * g.dim) * (c * d) @ (q2 - g.rho_norm_sq)
+        bound = dist**4 / 24 * (np.abs(c) * d) @ q2**2 + 1e-13 * scale
+        assert np.all(np.abs(vals - taylor) <= bound)
+
+
 def test_spectral_small_time_advises_lattice_route():
     with pytest.raises(ResourceLimitError, match="wrapped"):
         spectral_heat_kernel(make_group("su3"), [0.7, 0.3], 1e-4, True, 1e-10)

@@ -253,13 +253,14 @@ CATALOG_GROUPS = ALL_GROUPS + ("su4",)
 def test_character_table_is_weyl_invariant(name, count, seed, y, element):
     g = make_group(name)
     H = np.array(y[:g.rank]) @ g.gamma_basis
-    # clear of the walls: within the singular tolerance of one, the order-s
-    # formula is exact only on the wall itself
+    # clear of the walls, where the tolerance below (written for a Weyl
+    # quotient) stays finite
     assume(wall_distance(g, H) > 1e-3)
     ws = enumerate_weights(g, g.rho_norm_sq + 12.0)[:count]
     table = CharacterTable(g, ws, np.random.default_rng(seed).normal(size=len(ws)))
     w = g._weyl_mats[element % g.weyl_order]
-    # the numerator is |W| terms of size <= scale over a Weyl denominator |Delta(H)|
+    # a Weyl quotient's numerator is |W| terms of size <= scale over |Delta(H)|;
+    # the weight form divides by nothing at the points and sits well inside this
     tol = 1e-12 * g.weyl_order * max(table.scale, 1.0) / math.sqrt(weyl_density(g, H))
     assert abs(table.values(w @ H) - table.values(H)) <= tol
 
