@@ -20,10 +20,11 @@ dimension count dim = rank + 2 * #positive_roots.  An integer layer (that
 data times the lcm of its denominators) enumerates and measures weights by
 exact int64 forms.  A numeric layer then fixes an orthonormal basis of the
 Cartan subalgebra and exposes float data (roots as covectors, rho, lattice
-bases, Weyl matrices).  A character combination is put in weight form once:
-its alternating spectrum at the integer frequencies w(lambda + rho) - rho is
-divided by the Weyl denominator, root by root, and the points then take a
-plain synthesis with no denominator (``CharacterTable``).
+bases, Weyl matrices).  A character combination keeps two spectra, built
+once from integer data (``CharacterTable``): its alternating numerator at the
+frequencies w(lambda + rho) - rho, and the weight form, that numerator divided
+by the Weyl denominator root by root.  Regular points take the Weyl quotient,
+points on or near a wall the weight form, which divides by nothing.
 """
 
 from __future__ import annotations
@@ -584,12 +585,6 @@ def weyl_denominator(g: GroupSpec, points: np.ndarray) -> np.ndarray:
 # characters
 # ---------------------------------------------------------------------------
 
-def orbit_stack(g: GroupSpec, weights: list[Weight]) -> np.ndarray:
-    """(L, |W|, rank) stack of w(lambda + rho) over the Weyl group."""
-    mus = np.array([w.mu for w in weights]).reshape(-1, g.rank)
-    return np.einsum("wij,lj->lwi", g._weyl_mats, mus)
-
-
 @lru_cache(maxsize=None)
 def _weyl_on_indices(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     """W on dual indices, in integers: (rank, |W| * rank) maps, with coords @ maps
@@ -663,24 +658,21 @@ def _divide_root(q: np.ndarray, a: np.ndarray) -> None:
         q[(i, *dst)] += q[(i + step, *src)]
 
 
-def _weight_form(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> np.ndarray:
-    """The weight-form spectrum Q(mu) = sum_lambda c_lambda m_lambda(mu) on the box
-    |idx(mu)| <= half = max |idx(w lambda)|, symmetric about 0, from integer data.
-    The alternating numerator, c_lambda det(w) at idx(w lambda) + idx(w rho - rho),
-    is divided by prod_alpha>0 (1 - x^-alpha) in a box that holds its support, and
-    so every partial quotient's (their Newton polytopes lie in the numerator's).
-    The weights of lambda lie in the hull of W lambda, so the trim to half drops
-    rounding residue only."""
-    maps, shifts = _weyl_on_indices(g)
-    coords = np.array([w.coords for w in weights], dtype=np.int64).reshape(-1, g.rank)
-    half = np.abs(coords @ maps).max(0, initial=0).reshape(-1, g.rank).max(0)
+def _spectra(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> tuple:
+    """(centre, P, Q) from integer data: the alternating numerator P, c_lambda
+    det(w) at idx(w lambda) + idx(w rho - rho), on a box of odd sides about
+    ``centre``, and the weight form Q(mu) = sum_lambda c_lambda m_lambda(mu), P
+    divided by prod_alpha>0 (1 - x^-alpha) in P's box (every partial quotient's
+    Newton polytope lies in P's), then trimmed to |idx(mu)| <= half = max
+    |idx(w lambda)|, symmetric about 0, which drops rounding residue only."""
+    shifts = _weyl_on_indices(g)[1]
+    idx = _frequencies(g, weights)[0]
+    half = np.abs(idx - shifts).max((0, 1), initial=0)
     lo = shifts.min(0) - half
-    shape = tuple(shifts.max(0) + half - lo + 1)
-    strides = np.array([math.prod(shape[i + 1:]) for i in range(g.rank)])
-    # C-order positions of idx(w lambda) + idx(w rho - rho) - lo, linear in coords
-    at = coords @ (maps.reshape(g.rank, -1, g.rank) @ strides) + (shifts - lo) @ strides
-    p = np.bincount(at.ravel(), (coeffs[:, None] * g._weyl_signs).ravel(),
-                    math.prod(shape)).reshape(shape)
+    shape = tuple((shifts.max(0) + half - lo + 1) | 1)
+    at = np.ravel_multi_index(tuple(np.moveaxis(idx - lo, -1, 0)), shape).ravel()
+    p = np.bincount(at, (coeffs[:, None] * g._weyl_signs).ravel(), math.prod(shape))
+    p = p.reshape(shape)
     # P = high + low, high a multiple of quantum = 2^(e - 26) where max |P| < 2^e:
     # sums of high stay exact while they grow less than 2^27-fold (su4 at t = 0.2
     # grows 1e3-fold) and low's rounding is 2^-26 of theirs, so Q is rounded once
@@ -689,17 +681,17 @@ def _weight_form(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> np.
     q = np.stack([high, p - high], axis=-1)
     for a in dual_index(g, g.positive_roots):
         _divide_root(q, a)
-    q = q[..., 0] + q[..., 1]
-    return np.ascontiguousarray(q[tuple(slice(-h - b, h - b + 1) for h, b in zip(half, lo))])
+    trim = tuple(slice(-h - b, h - b + 1) for h, b in zip(half, lo))
+    return lo + np.array(shape) // 2, p, q[trim + (0,)] + q[trim + (1,)]
 
 
 class CharacterTable:
-    """sum_lambda c_lambda chi_lambda (real c_lambda) in weight form: the
-    multiplicity form of the Weyl character formula, sum_mu Q(mu) e^{i mu(H)} with
-    Q(mu) = sum_lambda c_lambda m_lambda(mu), built once from integer data by
-    ``_weight_form``.  Nothing is divided at the points, so regular points, walls
-    and the origin take the same plain synthesis.  ``scale`` = sum |c_lambda| d_lambda bounds the values.
-    """
+    """sum_lambda c_lambda chi_lambda (real c_lambda) from ``_spectra``: each point
+    takes the Weyl quotient sum_k P(k) e^{i k(H)} / den(H), den(H) = prod_alpha>0
+    (1 - e^{-i alpha(H)}), where its rounding bound eps sum|P| / |den(H)| is below
+    eps sum|Q| (= eps f(0) for a heat kernel), that of the weight form sum_mu Q(mu)
+    e^{i mu(H)}, which divides by nothing and takes the points on and near walls.
+    ``scale`` = sum |c_lambda| d_lambda bounds the values."""
 
     def __init__(self, g: GroupSpec, weights: list[Weight], coeffs):
         self.group = g
@@ -707,7 +699,10 @@ class CharacterTable:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.scale = float(np.abs(self.coeffs) @ [float(w.dimension) for w in self.weights])
         self._to_cell = np.linalg.inv(g.gamma_basis)
-        self._q = _weight_form(g, self.weights, self.coeffs)
+        centre, self._p, self._q = _spectra(g, self.weights, self.coeffs)
+        # e^{i shift(H)} recentres P on its box and puts back e^{i rho(H)} of den
+        self._shift = TWO_PI * self._to_cell @ centre + g.rho
+        self._norms = float(np.abs(self._p).sum()), float(np.abs(self._q).sum())
 
     def spectrum(self):
         """(lo, Q): the real weight-form spectrum, Q[k] the coefficient of the
@@ -717,7 +712,15 @@ class CharacterTable:
     def values(self, H):
         """One complex value per point, shape (P,) (a scalar for one point)."""
         points, single = _as_points(self.group, H)
-        out = _synthesise(self._q, points @ self._to_cell)
+        den = weyl_denominator(self.group, points)   # e^{i rho(H)} den(H), of equal modulus
+        quot = np.abs(den) * self._norms[1] > self._norms[0]
+        out = np.empty(len(points), dtype=complex)
+        if quot.any():
+            p = points[quot]
+            out[quot] = (_synthesise(self._p, p @ self._to_cell)
+                         * np.exp(1j * (p @ self._shift)) / den[quot])
+        if not quot.all():
+            out[~quot] = _synthesise(self._q, points[~quot] @ self._to_cell)
         return out[0] if single else out
 
 

@@ -260,10 +260,10 @@ class CentralFunction:
         return self._table
 
     def evaluate(self, H):
-        """Pointwise values on torus point(s), synthesised from the weight-form
-        spectrum of the ``CharacterTable`` by one formula at every point
-        (regular, on walls, the origin); real by coefficient symmetry, which
-        ``as_real_checked`` enforces against the scale sum |c_lambda| d_lambda."""
+        """Pointwise values on torus point(s), synthesised by the
+        ``CharacterTable`` at every point (regular, on walls, the origin);
+        real by coefficient symmetry, which ``as_real_checked`` enforces
+        against the scale sum |c_lambda| d_lambda."""
         vals = self.table().values(H)
         total = as_real_checked(np.atleast_1d(vals), f"central function on {self.group.name}",
                                 scale=self.table().scale)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wrapkit import cli
 from wrapkit import (
     CentralFunction,
     DomainError,
@@ -86,6 +87,16 @@ def test_su4_short_time_routes_agree():
     spectral = np.atleast_1d(spectral_heat_kernel(g, pts, 0.2))
     wrapped = np.atleast_1d(wrapped_heat_kernel(g, pts, 0.2))
     assert np.all(np.abs(spectral - wrapped) <= 1e-10 * np.maximum(1.0, np.abs(wrapped)))
+
+
+@pytest.mark.parametrize("name, t", [("su4", "0.15"), ("su4", "0.2"), ("su3", "0.05")])
+def test_short_time_poisson_check_passes(name, t, tmp_path):
+    # f(0) grows like t^(-dim/2), and a synthesis of the weight form rounds to
+    # about eps f(0) at every point (1.8e-10 on su4 at t = 0.2); the alcove
+    # points are regular, so the Weyl quotient's eps |W| sum c / |Delta(H)| holds
+    out = tmp_path / "out.csv"
+    assert cli.main(["poisson-check", "--group", name, "--t", t, "--out", str(out)]) == 0
+    assert "# pass=true" in out.read_text()
 
 
 def test_plain_kernel_positive_and_normalized():
