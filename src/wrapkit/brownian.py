@@ -16,6 +16,14 @@ through the covering map U -> Ad U.  They draw the same seeded increments
 as before, but so3 Monte Carlo reports may differ from wrapkit 0.1.0 in
 the last digits.
 
+The su<n> engine runs no eigen-solver per step.  It builds the Hermitian
+increment A from two real products with the stacked generators and takes
+exp(-i A) = sum_{j<n} f_j A^j: the Taylor series folded into degree < n by
+Cayley-Hamilton (Moler & Van Loan, SIAM Rev. 45, 2003), with A^n written in
+lower powers through Newton's identities on tr A^k.  Scaling by 2^s >= r,
+r the chunk's largest Frobenius norm, and a proved tail bound of 2^-60 fix
+the term count from the chunk's own data; at the engine's steps s = 0.
+
 One runner, ``_walk``, steps the paths of every estimator: a single chunk
 for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
 through shared fine increments for ``weak_order_ratio``.  It alone advances
@@ -194,6 +202,63 @@ def _generators(n: int) -> np.ndarray:
     return np.array(gens, dtype=complex)
 
 
+def _hamiltonian(z: np.ndarray, scale: float) -> np.ndarray:
+    """The Hermitian matrices scale * sum_a z_a L_a, one per row of z, from
+    two real products with the stacked generators."""
+    n = math.isqrt(z.shape[1] + 1)
+    gens = _generators(n).reshape(n * n - 1, n * n)
+    zs = z * scale
+    ham = np.empty((len(z), n * n), dtype=complex)
+    ham.real = zs @ gens.real
+    ham.imag = zs @ gens.imag
+    return ham.reshape(-1, n, n)
+
+
+def _exp_minus_i(a: np.ndarray) -> np.ndarray:
+    """exp(-i A) = sum_{j<n} f_j A^j for a batch of Hermitian n x n matrices A.
+
+    The f_j are the Taylor sum of exp(-i B), B = A / 2^s with 2^s > r, r the
+    batch's largest Frobenius norm, over the fewest terms N with
+    r_s^N e^{r_s} / N! <= 2^-60 (r_s = r / 2^s; the series' tail bound),
+    folded by Cayley-Hamilton through Newton's identities on tr B^k.  The
+    result is squared s times; one Bjorck step U (3 - U^+ U) / 2 then undoes
+    the defect off U(n) that each squaring doubled."""
+    n = a.shape[-1]
+    powers = [a]                                    # A, A^2, .., A^{n-1}
+    for _ in range(n - 2):
+        powers.append(powers[-1] @ a)
+    traces = [np.einsum("cii->c", x).real for x in powers]
+    traces.append(np.einsum("cij,cji->c", powers[-1], a).real)
+    r = math.sqrt(float(traces[1].max(initial=0.0)))
+    s = math.frexp(r)[1] if r > 1 else 0            # 2^s > r
+    terms, tail = 0, math.exp(r / 2**s)
+    while tail > 2.0**-60:
+        terms += 1
+        tail *= r / 2**s / terms
+    # Newton: the elementary symmetric e_k of B's eigenvalues, then B^n = sum c_j B^j
+    e = [np.ones(len(a))]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * (traces[i - 1] / 2.0 ** (s * i))
+                     for i in range(1, k + 1)) / k)
+    c = np.array([(-1) ** (n - 1 - j) * e[n - j] for j in range(n)], dtype=complex)
+    f = np.zeros((n, len(a)), dtype=complex)        # f_j in the basis B^j
+    f[0] = 1.0
+    for k in range(terms - 1, 0, -1):               # f <- 1 + (-i B / k) f
+        bf = f[-1] * c
+        bf[1:] += f[:-1]
+        f = bf * (-1j / k)
+        f[0] += 1.0
+    u = np.zeros_like(a)
+    u[:, range(n), range(n)] = f[0][:, None]
+    for j, x in enumerate(powers, start=1):
+        u += (f[j] / 2.0 ** (s * j))[:, None, None] * x
+    for _ in range(s):
+        u = u @ u
+    if s:
+        u = 1.5 * u - 0.5 * u @ (np.conj(np.transpose(u, (0, 2, 1))) @ u)
+    return u
+
+
 class _TorusEngine:
     """A torus factor: the state is the angle vector, the block diagonal."""
 
@@ -235,14 +300,18 @@ class _Su2Engine:
         self.b = np.zeros(count, dtype=complex)
 
     def step(self, z: np.ndarray, sqh: float) -> None:
-        c = 0.5 * sqh * z
-        s = np.linalg.norm(c, axis=1)
-        q = c * _sin_over_y(s)[:, None]
-        ua = np.cos(s) - 1j * q[:, 2]
-        ub = -q[:, 1] - 1j * q[:, 0]
+        # rows of c, not columns, and ua, conj(ub) filled part by part: a
+        # reduce over a width-3 axis and complex temporaries cost more
+        c = np.multiply(z.T, 0.5 * sqh, order="C")
+        s = np.sqrt(np.einsum("ic,ic->c", c, c))
+        q = c * _sin_over_y(s)
+        ua = np.empty(len(s), dtype=complex)
+        ua.real, ua.imag = np.cos(s), -q[2]
+        ubc = np.empty(len(s), dtype=complex)             # conj(ub)
+        ubc.real, ubc.imag = -q[1], q[0]
         a, b = self.a, self.b
-        self.a = a * ua - b * np.conj(ub)
-        self.b = a * ub + b * np.conj(ua)
+        self.a = a * ua - b * ubc
+        self.b = a * np.conj(ubc) + b * np.conj(ua)
 
     def renormalize(self) -> float:
         r = np.sqrt(np.abs(self.a) ** 2 + np.abs(self.b) ** 2)
@@ -311,11 +380,7 @@ class _SunEngine:
                                  (count, self.block, self.block)).copy()
 
     def step(self, z: np.ndarray, sqh: float) -> None:
-        ham = np.einsum("ca,aij->cij", z, _generators(self.block)) * (0.5 * sqh)
-        w, v = np.linalg.eigh(ham)
-        phase = np.exp(-1j * w)
-        rot = np.einsum("cik,ck,cjk->cij", v, phase, np.conj(v))
-        self.m = self.m @ rot
+        self.m = self.m @ _exp_minus_i(_hamiltonian(z, 0.5 * sqh))
 
     def renormalize(self) -> float:
         gram = self.m @ np.conj(np.transpose(self.m, (0, 2, 1)))
@@ -360,8 +425,7 @@ class _SunEngine:
         # Z = sum z_a X_a with X_a = -i lambda_a / 2 is conjugate to
         # diag(i a) for a = minus the (ascending) eigenvalues of the
         # Hermitian part, which lands a in descending chamber order.
-        ham = np.einsum("ca,aij->cij", z, _generators(self.block)) * 0.5
-        return -np.linalg.eigvalsh(ham) @ self.factor._coord_map.T
+        return -np.linalg.eigvalsh(_hamiltonian(z, 0.5)) @ self.factor._coord_map.T
 
 
 # su2 and so3 ride the quaternion engine; every other su<n> the matrix one

@@ -289,6 +289,48 @@ def test_generalised_gell_mann_generators(n):
         assert gens.tobytes() == frozen.tobytes()
 
 
+def _eigh_exp(a):
+    """exp(-i A) for a batch of Hermitian A through their eigenvectors."""
+    w, v = np.linalg.eigh(a)
+    return np.einsum("cik,ck,cjk->cij", v, np.exp(-1j * w), np.conj(v))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_step_exponential_matches_eigh(n):
+    # scale 1 is the Hamiltonian of a unit step (sqrt h = 1); the engines
+    # step at sqrt h <= 0.1.  A Taylor sum without the scaling and the term
+    # bound loses every digit at scale 30.  The s squarings double the
+    # defect off U(n) s times (1e-13 at scale 30 on su5) until the final
+    # Bjorck step takes it back to rounding.
+    rng = np.random.default_rng(40 + n)
+    cases = [brownian._hamiltonian(rng.standard_normal((64, n * n - 1)), 0.5 * scale)
+             for scale in (0.05, 1.0, 5.0, 30.0)]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    wall = 0.3 * np.diag([1.0, 1.0, -2.0] + [0.0] * (n - 3))
+    close = np.diag(np.arange(n) - (n - 1) / 2) * 1e-9 + wall
+    cases += [np.zeros((2, n, n), dtype=complex), wall[None] + 0j,
+              (q @ wall @ np.conj(q.T))[None], (q @ close @ np.conj(q.T))[None]]
+    for a in cases:
+        u = brownian._exp_minus_i(a)
+        assert np.max(np.abs(u - _eigh_exp(a))) < 1e-13
+        assert np.max(np.abs(u @ np.conj(np.transpose(u, (0, 2, 1))) - np.eye(n))) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["su3", "su4"])
+def test_sun_walk_matches_an_eigh_stepped_walk(name):
+    g = make_group(name)
+    eng = brownian._SunEngine(g, 200)
+    ref = eng.m.copy()
+    gens = brownian._generators(eng.block)
+    rng = np.random.default_rng(8)
+    sqh = math.sqrt(1e-2)
+    for _ in range(50):
+        z = rng.standard_normal((200, g.dim))
+        eng.step(z, sqh)
+        ref = ref @ _eigh_exp(np.einsum("ca,aij->cij", z, gens) * (0.5 * sqh))
+    assert np.max(np.abs(eng.m - ref)) < 1e-12
+
+
 @pytest.mark.parametrize("angle", [1e-4, 1e-6, 1e-8])
 def test_conjugacy_coordinate_keeps_precision_near_identity(angle):
     # an arccos of the trace returns 1e-6 as 1.000044e-6 and 1e-8 as 0
