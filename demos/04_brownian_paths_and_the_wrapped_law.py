@@ -2,11 +2,17 @@
 Brownian motion meets the wrapping map
 ======================================
 
-Brownian motion on the group is simulated by a geodesic Euler scheme:
-exponentiate a Gaussian algebra increment each step.  The time-t law is
-the plain heat kernel, and after an exp(||rho||^2 t / 2) reweighting it
-matches the wrapped flat Gaussian.  Everything below is Monte Carlo with
-counter-based streams, so reruns with the same seed reproduce bit for bit.
+Brownian motion on the group is simulated by a geodesic random walk:
+each step exponentiates an algebra increment whose coordinates are random
+signs +-sqrt(h).  The signs match the Gaussian moments to order 3, which is
+all a scheme of weak order 1 needs (the simplified weak Euler scheme of
+Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1), and geodesic
+random walks converge to Brownian motion (Jorgensen, Z. Wahrsch. 32, 1975).
+The time-t law is the plain heat kernel up to an O(h) bias, and after an
+exp(||rho||^2 t / 2) reweighting it matches the wrapped flat Gaussian,
+whose algebra endpoints are still drawn exactly Gaussian.  Everything
+below is Monte Carlo with counter-based streams, so reruns with the same
+seed reproduce bit for bit.
 """
 
 import numpy as np

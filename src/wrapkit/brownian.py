@@ -1,20 +1,20 @@
 """Brownian motion on the catalog groups by matrix simulation, and the
 Monte Carlo verification of the transport identities.
 
-The scheme is geodesic Euler: xi_{k+1} = xi_k * exp(sqrt(h) sum_i X_i z_i)
-with iid standard normal z and X_i an orthonormal basis of the Lie algebra
-for the same inner product all analytic modules use.  For a bi-invariant
-metric this scheme needs no drift correction and converges weakly at first
-order to the process generated by half the group Laplacian (the plain heat
-semigroup).
+The scheme is a geodesic random walk: xi_{k+1} = xi_k * exp(sqrt(h) sum_i X_i
+z_i) with iid signs z_i = +-1 and X_i an orthonormal basis of the Lie algebra
+for the analytic modules' inner product.  Weak order 1 needs only the normal
+moments to order 3, which signs match (the simplified weak Euler scheme,
+Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1; geodesic random
+walks converge to Brownian motion, Jorgensen, Z. Wahrsch. 32, 1975), so for a
+bi-invariant metric the walk tends weakly at first order, with no drift
+correction, to the plain heat semigroup.  Flat endpoints stay exact Gaussian.
 
 Each factor kind has one engine: tori, su2, and one matrix engine for every
 su<n> with n >= 3 (X_i = -i L_i / 2 from the generalised Gell-Mann
 matrices).  so3 has none of its own: SO(3) is SU(2)
 divided by its centre, so so3 paths are simulated on SU(2) and mapped
-through the covering map U -> Ad U.  They draw the same seeded increments
-as before, but so3 Monte Carlo reports may differ from wrapkit 0.1.0 in
-the last digits.
+through the covering map U -> Ad U.
 
 The su<n> engine runs no eigen-solver per step.  It builds the Hermitian
 increment A from two real products with the stacked generators and takes
@@ -507,14 +507,14 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
     """Step levels + 1 coupled chunks of count paths through the step sizes
     ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
 
-    Each step draws 2^levels fine increments at once; a level-l substep is
-    driven by the sum of 2^(levels - l) consecutive fine draws over its
-    square root, so every level sees the same Brownian path (the coupling of
-    Giles, Oper. Res. 56, 2008).  Every chunk is renormalized and guarded
-    every _RENORM_EVERY steps and after the last one."""
+    Each step draws 2^levels fine sign vectors at once; a level-l substep is
+    driven by the sum of 2^(levels - l) consecutive fine draws over its square
+    root ({0, +-sqrt 2} at width 2, {0, +-1, +-2} at width 4), so every level
+    sees the same walk (Giles' coupling, Oper. Res. 56, 2008).  Every chunk is
+    renormalized and guarded every _RENORM_EVERY steps and after the last one."""
     chunks = [_Chunk(g, count) for _ in range(levels + 1)]
     for k, h in enumerate(steps):
-        fine = rng.standard_normal((2 ** levels, count, g.dim))
+        fine = _signs(rng, (2 ** levels, count, g.dim))
         for level, chunk in enumerate(chunks):
             width = 2 ** (levels - level)
             zs = fine if width == 1 else (
@@ -526,6 +526,15 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
             for chunk in chunks:
                 chunk.renormalize()
     return chunks
+
+
+def _signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Rademacher +-1 as int8 from the raw 64-bit words of rng's stream, read
+    as little-endian bytes on every host, each byte high bit first."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8")
+    bits = np.unpackbits(words.view(np.uint8), count=n).view(np.int8)
+    return (1 - 2 * bits).reshape(shape)
 
 
 def _run_chunk(cfg: SdeConfig, index: int, count: int) -> _Chunk:
@@ -545,7 +554,7 @@ def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sample_group_endpoint(cfg: SdeConfig, threads: int | None = None) -> np.ndarray:
-    """Matrix endpoints of the geodesic Euler scheme at time t, one matrix
+    """Matrix endpoints of the geodesic random walk at time t, one matrix
     per path (block-diagonal over product factors)."""
     parts = _map_chunks(cfg, lambda i, c: _run_chunk(cfg, i, c).matrices(), threads)
     return np.concatenate(parts, axis=0)
@@ -730,13 +739,13 @@ def weak_order_ratio(
     chunk: int = 20000,
     threads: int | None = None,
 ):
-    """Coupled estimate of the weak-error decay of the geodesic Euler scheme.
+    """Coupled estimate of the weak-error decay of the geodesic random walk.
 
-    Simulates each path three times from shared fine increments, with steps
-    h, h/2 and h/4, and returns (D1, D2, ratio, stderr1, stderr2) where
-    D1 = E[f_h - f_{h/2}] and D2 = E[f_{h/2} - f_{h/4}].  First-order weak
-    convergence makes the ratio approach 2; the shared increments cancel the
-    O(1) Monte Carlo noise that would otherwise swamp the bias difference.
+    Simulates each path three times from shared fine signs with steps h, h/2
+    and h/4, coarse steps taking normalised sums, and returns (D1, D2, ratio,
+    stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
+    First-order weak convergence makes the ratio approach 2; the shared draws
+    cancel the O(1) noise that would otherwise swamp the bias difference.
     """
     n_h = int(round(t / h))
     if abs(n_h * h - t) > 1e-9:

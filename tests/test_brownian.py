@@ -105,6 +105,88 @@ def test_flat_endpoints_reproducible_and_independent_of_group_stream():
 
 
 # ---------------------------------------------------------------------------
+# the walk's increments
+# ---------------------------------------------------------------------------
+
+def _walk_increments(monkeypatch, g, count, steps, levels, key):
+    """The increments _walk hands each of its coupled chunks, in step order
+    (the engines are left at the identity)."""
+    seen = {}
+    monkeypatch.setattr(brownian._Chunk, "advance",
+                        lambda self, z, sqh: seen.setdefault(id(self), []).append(z.copy()))
+    chunks = brownian._walk(g, count, brownian._rng(*key), steps, levels=levels)
+    return [np.array(seen[id(chunk)]) for chunk in chunks]
+
+
+def test_level_zero_increments_are_balanced_signs(monkeypatch):
+    g = make_group("su2")
+    count, n_steps = 4000, 5
+    z, = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
+    assert z.shape == (n_steps, count, g.dim)
+    assert set(np.unique(z).tolist()) == {-1, 1}
+    n = n_steps * count
+    assert np.max(np.abs(z.reshape(n, g.dim).mean(axis=0))) < 4.0 / math.sqrt(n)
+    # one draw from the chunk's own stream per step
+    rng = brownian._rng(11, 0, 0)
+    assert np.array_equal(z, np.concatenate(
+        [brownian._signs(rng, (1, count, g.dim)) for _ in range(n_steps)]))
+
+
+@pytest.mark.parametrize("levels, values", [
+    (1, [-math.sqrt(2.0), 0.0, math.sqrt(2.0)]),
+    (2, [-2.0, -1.0, 0.0, 1.0, 2.0]),
+])
+def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels, values):
+    g = make_group("su2xsu2")
+    count, n_steps = 500, 3
+    incs = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, levels,
+                            (11, brownian._TAG_COUPLED, 4))
+    fine = incs[-1]
+    assert fine.shape == (n_steps * 2 ** levels, count, g.dim)
+    assert set(np.unique(fine).tolist()) == {-1, 1}
+    for level, z in enumerate(incs[:-1]):
+        width = 2 ** (levels - level)
+        assert z.shape == (n_steps * 2 ** level, count, g.dim)
+        assert np.array_equal(
+            z, fine.reshape(-1, width, count, g.dim).sum(axis=1) / math.sqrt(width))
+    assert_allclose(np.unique(incs[0]), values, rtol=0, atol=1e-15)
+
+
+def test_signs_are_keyed_by_seed_tag_and_chunk():
+    shape = (2, 300, 3)
+    a = brownian._signs(brownian._rng(5, brownian._TAG_GROUP, 3), shape)
+    assert a.shape == shape
+    assert np.array_equal(a, brownian._signs(brownian._rng(5, brownian._TAG_GROUP, 3), shape))
+    for key in ((5, brownian._TAG_GROUP, 4), (6, brownian._TAG_GROUP, 3),
+                (5, brownian._TAG_COUPLED, 3)):
+        assert not np.array_equal(a, brownian._signs(brownian._rng(*key), shape))
+    # the bits of the first raw word, little-endian bytes, each high bit
+    # first: integer arithmetic, so the same on every host
+    word = int(brownian._rng(5, brownian._TAG_GROUP, 3).bit_generator.random_raw())
+    bits = [(word >> (8 * (k // 8) + 7 - k % 8)) & 1 for k in range(64)]
+    assert a.ravel()[:64].tolist() == [1 - 2 * b for b in bits]
+
+
+def test_wrap_bm_check_flat_side_stays_gaussian(monkeypatch):
+    drawn = []
+    flat_draw = brownian._flat_draw
+
+    def recording_draw(*args):
+        drawn.append(flat_draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(brownian, "_flat_draw", recording_draw)
+    g = make_group("torus1")
+    cfg = SdeConfig(group=g, t=0.5, step=1e-2, paths=40000, seed=12)
+    wrap_bm_check(g, real_character(g, (1,)), cfg)
+    x = np.concatenate(drawn)[:, 0] / math.sqrt(cfg.t)
+    assert len(x) == cfg.paths
+    # Gaussian 3, a sign draw 1; the sample kurtosis has stderr sqrt(24 / n) = 0.025
+    kurtosis = np.mean(x ** 4) / np.mean(x ** 2) ** 2
+    assert abs(kurtosis - 3.0) < 0.2
+
+
+# ---------------------------------------------------------------------------
 # endpoint laws
 # ---------------------------------------------------------------------------
 
@@ -481,9 +563,11 @@ def test_group_argument_must_match_the_config():
 # ---------------------------------------------------------------------------
 
 def test_weak_error_halves_with_the_step():
-    # heavy (about 20 s): the bias difference is ~8e-4 and the coupled noise
-    # needs 1e6 paths to resolve it; parameters chosen so the exact ratio is
-    # 2.002 and the estimate is pinned by the seed
+    # heavy (about 15 s): the bias difference is ~7e-4 and the coupled noise
+    # needs 1e6 paths to resolve it; the parameters were chosen so that the
+    # exact ratio of the Gaussian-increment scheme is 2.002 (the sign walk's
+    # seeded estimate reads 1.993, d1 at 8 standard errors) and the estimate
+    # is pinned by the seed
     su2 = make_group("su2")
     d1, d2, ratio, se1, se2 = weak_order_ratio(
         su2, real_character(su2, (4,)), t=0.3, h=0.01, paths=1_000_000,

@@ -1,9 +1,13 @@
 """Brownian paths have one stepping loop: in ``brownian.py`` only the path
 runner ``_walk`` calls ``.advance(``, and no class defines ``drift`` (each
-engine's ``renormalize`` returns the drift it measured).
+engine's ``renormalize`` returns the drift it measured).  The draws have
+one place each: ``standard_normal`` appears only in ``_flat_draw`` (the
+exact flat endpoints) and the group-side sign draw ``_signs`` only in
+``_walk``.
 
 The check parses the module and names the enclosing function of every
-``.advance(`` call and every class that defines ``drift``.
+``.advance(`` call, of every mention of a draw and every class that
+defines ``drift``.
 """
 
 import ast
@@ -12,21 +16,33 @@ from pathlib import Path
 from wrapkit import brownian
 
 
-def _advance_callers(tree):
-    """(enclosing function, line) of each call to an ``advance`` attribute."""
+def _enclosing(tree, hit):
+    """(enclosing function, line) of each node for which hit(node) holds."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "advance"):
+        if hit(node):
             found.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
     return found
+
+
+def _advance_callers(tree):
+    """(enclosing function, line) of each call to an ``advance`` attribute."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "advance")
+
+
+def _mentions(tree, name):
+    """(enclosing function, line) of each plain name or attribute ``name``."""
+    return _enclosing(tree, lambda node: (isinstance(node, ast.Name) and node.id == name)
+                      or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def _drift_classes(tree):
@@ -43,6 +59,14 @@ def test_only_the_path_runner_advances_chunks():
     callers = _advance_callers(_tree())
     assert callers, "the path runner no longer advances any chunk"
     assert [f"line {line} in {func}" for func, line in callers if func != "_walk"] == []
+
+
+def test_normals_are_drawn_only_for_the_flat_endpoints():
+    assert {func for func, _ in _mentions(_tree(), "standard_normal")} == {"_flat_draw"}
+
+
+def test_only_the_path_runner_draws_group_increments():
+    assert {func for func, _ in _mentions(_tree(), "_signs")} == {"_walk"}
 
 
 def test_no_engine_defines_drift():
@@ -64,7 +88,14 @@ def test_the_guard_sees_stray_loops_and_drift_methods():
         '    def renormalize(self):\n'
         '        return 0.0\n'
         'trio[0].advance(z, 0.2)\n'
+        'def _flat_draw(rng):\n'
+        '    return rng.standard_normal(3)\n'
+        'def _walk2(rng, draw=np.random.standard_normal):\n'
+        '    return _signs(rng, (1, 2)), draw(2)\n'
+        'signs = _signs\n'
     )
     tree = ast.parse(code)
     assert [f for f, _ in _advance_callers(tree)] == ["_walk", "worker", None]
+    assert [f for f, _ in _mentions(tree, "standard_normal")] == ["_flat_draw", "_walk2"]
+    assert [f for f, _ in _mentions(tree, "_signs")] == ["_walk2", None]
     assert _drift_classes(tree) == ["_Engine"]
