@@ -8,7 +8,8 @@ signs +-sqrt(h).  The signs match the Gaussian moments to order 3, which is
 all a scheme of weak order 1 needs (the simplified weak Euler scheme of
 Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1), and geodesic
 random walks converge to Brownian motion (Jorgensen, Z. Wahrsch. 32, 1975).
-The time-t law is the plain heat kernel up to an O(h) bias, and after an
+Torus coordinates keep normal increments, whose step is exact.  The time-t
+law is the plain heat kernel up to an O(h) bias, and after an
 exp(||rho||^2 t / 2) reweighting it matches the wrapped flat Gaussian,
 whose algebra endpoints are still drawn exactly Gaussian.  Everything
 below is Monte Carlo with counter-based streams, so reruns with the same

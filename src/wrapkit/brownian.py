@@ -8,7 +8,10 @@ moments to order 3, which signs match (the simplified weak Euler scheme,
 Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1; geodesic random
 walks converge to Brownian motion, Jorgensen, Z. Wahrsch. 32, 1975), so for a
 bi-invariant metric the walk tends weakly at first order, with no drift
-correction, to the plain heat semigroup.  Flat endpoints stay exact Gaussian.
+correction, to the plain heat semigroup.  Torus coordinates keep standard
+normal increments: their step is exact, and signs would only add an O(h)
+bias and pin the endpoints to a lattice 2 sqrt(h) apart.  Flat endpoints
+stay exact Gaussian.
 
 Each factor kind has one engine: tori, su2, and one matrix engine for every
 su<n> with n >= 3 (X_i = -i L_i / 2 from the generalised Gell-Mann
@@ -455,7 +458,7 @@ class _Chunk:
         self.blocks = _slices(e.block for e in self.engines)
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
-        """One geodesic Euler step with algebra increment sqh * z."""
+        """One geodesic random-walk step with algebra increment sqh * z."""
         for eng, s in zip(self.engines, self.algebra):
             eng.step(z[:, s], sqh)
 
@@ -507,14 +510,18 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
     """Step levels + 1 coupled chunks of count paths through the step sizes
     ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
 
-    Each step draws 2^levels fine sign vectors at once; a level-l substep is
-    driven by the sum of 2^(levels - l) consecutive fine draws over its square
-    root ({0, +-sqrt 2} at width 2, {0, +-1, +-2} at width 4), so every level
-    sees the same walk (Giles' coupling, Oper. Res. 56, 2008).  Every chunk is
+    Each step draws 2^levels fine increment vectors at once: signs, or
+    normals on a torus, whose step is then exact (no catalog group mixes torus
+    and non-abelian factors).  A level-l substep is driven by the sum of
+    2^(levels - l) consecutive fine draws over its square root (for signs
+    {0, +-sqrt 2} at width 2, {0, +-1, +-2} at width 4), so every level sees
+    the same walk (Giles' coupling, Oper. Res. 56, 2008).  Every chunk is
     renormalized and guarded every _RENORM_EVERY steps and after the last one."""
     chunks = [_Chunk(g, count) for _ in range(levels + 1)]
+    torus = all(isinstance(e, _TorusEngine) for e in chunks[0].engines)
+    shape = (2 ** levels, count, g.dim)
     for k, h in enumerate(steps):
-        fine = _signs(rng, (2 ** levels, count, g.dim))
+        fine = rng.standard_normal(shape) if torus else _signs(rng, shape)
         for level, chunk in enumerate(chunks):
             width = 2 ** (levels - level)
             zs = fine if width == 1 else (
@@ -555,7 +562,7 @@ def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
 
 def sample_group_endpoint(cfg: SdeConfig, threads: int | None = None) -> np.ndarray:
     """Matrix endpoints of the geodesic random walk at time t, one matrix
-    per path (block-diagonal over product factors)."""
+    per path (block-diagonal over product factors; torus factors exact)."""
     parts = _map_chunks(cfg, lambda i, c: _run_chunk(cfg, i, c).matrices(), threads)
     return np.concatenate(parts, axis=0)
 
@@ -741,9 +748,10 @@ def weak_order_ratio(
 ):
     """Coupled estimate of the weak-error decay of the geodesic random walk.
 
-    Simulates each path three times from shared fine signs with steps h, h/2
-    and h/4, coarse steps taking normalised sums, and returns (D1, D2, ratio,
-    stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
+    Simulates each path three times from shared fine increments (signs, or
+    normals on a torus) with steps h, h/2 and h/4, coarse steps
+    taking normalised sums, and returns (D1, D2, ratio, stderr1, stderr2),
+    D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
     First-order weak convergence makes the ratio approach 2; the shared draws
     cancel the O(1) noise that would otherwise swamp the bias difference.
     """

@@ -356,7 +356,7 @@ _COMMANDS: dict = {
         (
             _Param("group", str, None, "rank-one catalog group"),
             _Param("t", float, 1.0, "horizon"),
-            _Param("step", float, 1e-3, "Euler step h"),
+            _Param("step", float, 1e-3, "random-walk step h"),
             _Param("paths", int, 100000, "number of paths"),
             _Param("seed", int, 0, "master seed"),
             _Param("chunk", int, 20000, "paths per deterministic substream"),
@@ -369,7 +369,7 @@ _COMMANDS: dict = {
         (
             _Param("group", str, None, "catalog group name"),
             _Param("t", float, 0.5, "horizon"),
-            _Param("step", float, 5e-3, "Euler step h"),
+            _Param("step", float, 5e-3, "random-walk step h"),
             _Param("paths", int, 100000, "number of paths"),
             _Param("seed", int, 0, "master seed"),
             _Param("chunk", int, 20000, "paths per deterministic substream"),

@@ -152,6 +152,17 @@ def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels
     assert_allclose(np.unique(incs[0]), values, rtol=0, atol=1e-15)
 
 
+def test_torus_increments_stay_normal(monkeypatch):
+    # a torus step is exact for normal increments; signs would put the
+    # endpoints on a lattice 2 sqrt(h) apart
+    g = make_group("torus2")
+    count, n_steps = 300, 4
+    z, = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
+    rng = brownian._rng(11, 0, 0)
+    assert np.array_equal(z, np.concatenate(
+        [rng.standard_normal((1, count, g.dim)) for _ in range(n_steps)]))
+
+
 def test_signs_are_keyed_by_seed_tag_and_chunk():
     shape = (2, 300, 3)
     a = brownian._signs(brownian._rng(5, brownian._TAG_GROUP, 3), shape)
@@ -165,25 +176,6 @@ def test_signs_are_keyed_by_seed_tag_and_chunk():
     word = int(brownian._rng(5, brownian._TAG_GROUP, 3).bit_generator.random_raw())
     bits = [(word >> (8 * (k // 8) + 7 - k % 8)) & 1 for k in range(64)]
     assert a.ravel()[:64].tolist() == [1 - 2 * b for b in bits]
-
-
-def test_wrap_bm_check_flat_side_stays_gaussian(monkeypatch):
-    drawn = []
-    flat_draw = brownian._flat_draw
-
-    def recording_draw(*args):
-        drawn.append(flat_draw(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(brownian, "_flat_draw", recording_draw)
-    g = make_group("torus1")
-    cfg = SdeConfig(group=g, t=0.5, step=1e-2, paths=40000, seed=12)
-    wrap_bm_check(g, real_character(g, (1,)), cfg)
-    x = np.concatenate(drawn)[:, 0] / math.sqrt(cfg.t)
-    assert len(x) == cfg.paths
-    # Gaussian 3, a sign draw 1; the sample kurtosis has stderr sqrt(24 / n) = 0.025
-    kurtosis = np.mean(x ** 4) / np.mean(x ** 2) ** 2
-    assert abs(kurtosis - 3.0) < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +196,9 @@ def test_flat_endpoint_moments_and_characteristic_function():
         emp = np.exp(1j * x @ xi).mean()
         target = math.exp(-t * float(xi @ xi) / 2.0)
         assert abs(emp - target) < 5.0 / math.sqrt(n)
+    # Gaussian 3, a sign draw 1; the sample kurtosis has stderr sqrt(24 / n) = 0.02
+    kurtosis = np.mean(x ** 4, axis=0) / np.mean(x ** 2, axis=0) ** 2
+    assert np.max(np.abs(kurtosis - 3.0)) < 0.2
 
 
 def test_group_endpoints_live_on_the_group():
@@ -527,6 +522,16 @@ def test_empirical_density_small_run():
         assert dev <= thr  # score < 1 bin by bin
     total_observed = sum(r[3] for r in rows)
     assert total_observed == cfg.paths
+
+
+def test_torus1_density_table_passes_at_the_cli_defaults():
+    # the simulate command's defaults; a torus walk of +-1 signs lands on a
+    # lattice 2 sqrt(h) = 0.063 apart, 8 or 9 points per bin, and fails here
+    t1 = make_group("torus1")
+    cfg = SdeConfig(group=t1, t=1.0, step=1e-3, paths=100000, seed=0, chunk=20000)
+    score, rows = empirical_density_table(t1, cfg, 12)
+    assert score < 1.0
+    assert sum(r[3] for r in rows) == cfg.paths
 
 
 def test_empirical_density_guards():

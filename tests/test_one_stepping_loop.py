@@ -2,8 +2,8 @@
 runner ``_walk`` calls ``.advance(``, and no class defines ``drift`` (each
 engine's ``renormalize`` returns the drift it measured).  The draws have
 one place each: ``standard_normal`` appears only in ``_flat_draw`` (the
-exact flat endpoints) and the group-side sign draw ``_signs`` only in
-``_walk``.
+exact flat endpoints) and in ``_walk`` (torus increments), and the
+group-side sign draw ``_signs`` only in ``_walk``.
 
 The check parses the module and names the enclosing function of every
 ``.advance(`` call, of every mention of a draw and every class that
@@ -61,8 +61,9 @@ def test_only_the_path_runner_advances_chunks():
     assert [f"line {line} in {func}" for func, line in callers if func != "_walk"] == []
 
 
-def test_normals_are_drawn_only_for_the_flat_endpoints():
-    assert {func for func, _ in _mentions(_tree(), "standard_normal")} == {"_flat_draw"}
+def test_normals_are_drawn_only_for_flat_endpoints_and_torus_steps():
+    assert ({func for func, _ in _mentions(_tree(), "standard_normal")}
+            == {"_flat_draw", "_walk"})
 
 
 def test_only_the_path_runner_draws_group_increments():
