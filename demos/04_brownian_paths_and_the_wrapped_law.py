@@ -8,7 +8,8 @@ signs +-sqrt(h).  The signs match the Gaussian moments to order 3, which is
 all a scheme of weak order 1 needs (the simplified weak Euler scheme of
 Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1), and geodesic
 random walks converge to Brownian motion (Jorgensen, Z. Wahrsch. 32, 1975).
-Torus coordinates keep normal increments, whose step is exact.  The time-t
+On a torus exp is a homomorphism, so the walk takes its whole horizon as
+one step of normal increments and the endpoint is exact.  The time-t
 law is the plain heat kernel up to an O(h) bias, and after an
 exp(||rho||^2 t / 2) reweighting it matches the wrapped flat Gaussian,
 whose algebra endpoints are still drawn exactly Gaussian.  Everything

@@ -8,10 +8,10 @@ moments to order 3, which signs match (the simplified weak Euler scheme,
 Kloeden & Platen, Numerical Solution of SDEs, 1992, 14.1; geodesic random
 walks converge to Brownian motion, Jorgensen, Z. Wahrsch. 32, 1975), so for a
 bi-invariant metric the walk tends weakly at first order, with no drift
-correction, to the plain heat semigroup.  Torus coordinates keep standard
-normal increments: their step is exact, and signs would only add an O(h)
-bias and pin the endpoints to a lattice 2 sqrt(h) apart.  Flat endpoints
-stay exact Gaussian.
+correction, to the plain heat semigroup.  On a torus exp is a homomorphism,
+so the walk takes its whole horizon in one step of standard normals and the
+endpoint is exact at any h (signs would pin it to a lattice 2 sqrt(h) apart).
+Flat endpoints stay exact Gaussian.
 
 Each factor kind has one engine: tori, su2, and one matrix engine for every
 su<n> with n >= 3 (X_i = -i L_i / 2 from the generalised Gell-Mann
@@ -510,15 +510,17 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
     """Step levels + 1 coupled chunks of count paths through the step sizes
     ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
 
-    Each step draws 2^levels fine increment vectors at once: signs, or
-    normals on a torus, whose step is then exact (no catalog group mixes torus
-    and non-abelian factors).  A level-l substep is driven by the sum of
+    Each step draws 2^levels fine increment vectors at once: signs, or normals
+    on a torus, whose steps merge into one exact step (no catalog group mixes
+    torus and non-abelian factors).  A level-l substep is driven by the sum of
     2^(levels - l) consecutive fine draws over its square root (for signs
     {0, +-sqrt 2} at width 2, {0, +-1, +-2} at width 4), so every level sees
     the same walk (Giles' coupling, Oper. Res. 56, 2008).  Every chunk is
     renormalized and guarded every _RENORM_EVERY steps and after the last one."""
     chunks = [_Chunk(g, count) for _ in range(levels + 1)]
     torus = all(isinstance(e, _TorusEngine) for e in chunks[0].engines)
+    if torus:  # exp is a homomorphism on a torus: the horizon is one exact step
+        steps = [math.fsum(steps)]
     shape = (2 ** levels, count, g.dim)
     for k, h in enumerate(steps):
         fine = rng.standard_normal(shape) if torus else _signs(rng, shape)
@@ -749,9 +751,9 @@ def weak_order_ratio(
     """Coupled estimate of the weak-error decay of the geodesic random walk.
 
     Simulates each path three times from shared fine increments (signs, or
-    normals on a torus) with steps h, h/2 and h/4, coarse steps
-    taking normalised sums, and returns (D1, D2, ratio, stderr1, stderr2),
-    D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
+    normals on a torus, where D1 and D2 are rounding) with steps h, h/2 and
+    h/4, coarse steps taking normalised sums, and returns (D1, D2, ratio,
+    stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
     First-order weak convergence makes the ratio approach 2; the shared draws
     cancel the O(1) noise that would otherwise swamp the bias difference.
     """

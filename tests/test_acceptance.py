@@ -143,7 +143,9 @@ def test_criterion_6_wrapped_law_of_brownian_motion():
     worst_z = 0.0
     all_ok = True
     # the product layout and the su<n> matrix engine at fewer paths: an su3
-    # path-step costs some 20 times an su2 one
+    # path-step costs some 20 times an su2 one.  The so3 cases are not a
+    # second sample: so3 rides the su2 engine at the same seed, tag and
+    # dimension, so it walks the su2 cases' increments and their z move together
     for name, paths in (("torus1", 100_000), ("su2", 100_000), ("so3", 100_000),
                         ("su2xsu2", 50_000), ("su3", 20_000)):
         g = make_group(name)
@@ -262,8 +264,10 @@ def _determinism_runs():
             runs.append(["wrap-bm-check", "--group", name, "--t", t,
                          "--step", "5e-3", "--paths", "100000",
                          "--seed", str(SEED)])
-    # the product layout and the su<n> matrix engine, in two chunks each
-    for name, paths, chunk in (("su2xsu2", "10000", "5000"), ("su3", "2000", "1000")):
+    # the product layout, the su<n> matrix engine and the one-step torus
+    # endpoint, in two chunks each
+    for name, paths, chunk in (("su2xsu2", "10000", "5000"), ("su3", "2000", "1000"),
+                               ("torus2", "40000", "20000")):
         runs.append(["wrap-bm-check", "--group", name, "--t", "0.5",
                      "--step", "5e-3", "--paths", paths, "--chunk", chunk,
                      "--seed", str(SEED)])

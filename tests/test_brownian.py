@@ -109,19 +109,20 @@ def test_flat_endpoints_reproducible_and_independent_of_group_stream():
 # ---------------------------------------------------------------------------
 
 def _walk_increments(monkeypatch, g, count, steps, levels, key):
-    """The increments _walk hands each of its coupled chunks, in step order
-    (the engines are left at the identity)."""
+    """(increments, sqh per advance) that _walk hands each of its coupled
+    chunks, in step order (the engines are left at the identity)."""
     seen = {}
     monkeypatch.setattr(brownian._Chunk, "advance",
-                        lambda self, z, sqh: seen.setdefault(id(self), []).append(z.copy()))
+                        lambda self, z, sqh: seen.setdefault(id(self), []).append((z.copy(), sqh)))
     chunks = brownian._walk(g, count, brownian._rng(*key), steps, levels=levels)
-    return [np.array(seen[id(chunk)]) for chunk in chunks]
+    return [(np.array([z for z, _ in seen[id(chunk)]]),
+             np.array([sqh for _, sqh in seen[id(chunk)]])) for chunk in chunks]
 
 
 def test_level_zero_increments_are_balanced_signs(monkeypatch):
     g = make_group("su2")
     count, n_steps = 4000, 5
-    z, = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
+    (z, _), = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
     assert z.shape == (n_steps, count, g.dim)
     assert set(np.unique(z).tolist()) == {-1, 1}
     n = n_steps * count
@@ -139,8 +140,8 @@ def test_level_zero_increments_are_balanced_signs(monkeypatch):
 def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels, values):
     g = make_group("su2xsu2")
     count, n_steps = 500, 3
-    incs = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, levels,
-                            (11, brownian._TAG_COUPLED, 4))
+    incs = [z for z, _ in _walk_increments(monkeypatch, g, count, [0.01] * n_steps, levels,
+                                           (11, brownian._TAG_COUPLED, 4))]
     fine = incs[-1]
     assert fine.shape == (n_steps * 2 ** levels, count, g.dim)
     assert set(np.unique(fine).tolist()) == {-1, 1}
@@ -152,15 +153,15 @@ def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels
     assert_allclose(np.unique(incs[0]), values, rtol=0, atol=1e-15)
 
 
-def test_torus_increments_stay_normal(monkeypatch):
-    # a torus step is exact for normal increments; signs would put the
-    # endpoints on a lattice 2 sqrt(h) apart
+def test_torus_walk_takes_its_horizon_in_one_exact_draw(monkeypatch):
+    # exp is a homomorphism on a torus, so the endpoint is one N(0, t I)
+    # draw whatever the step list, here one ending in a partial step; signs
+    # would put it on a lattice 2 sqrt(h) apart
     g = make_group("torus2")
-    count, n_steps = 300, 4
-    z, = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
-    rng = brownian._rng(11, 0, 0)
-    assert np.array_equal(z, np.concatenate(
-        [rng.standard_normal((1, count, g.dim)) for _ in range(n_steps)]))
+    count, steps = 300, [0.01] * 4 + [0.003]
+    (z, sqh), = _walk_increments(monkeypatch, g, count, steps, 0, (11, 0, 0))
+    assert np.array_equal(z, brownian._rng(11, 0, 0).standard_normal((1, count, g.dim)))
+    assert sqh.tolist() == [math.sqrt(math.fsum(steps))]
 
 
 def test_signs_are_keyed_by_seed_tag_and_chunk():
@@ -211,6 +212,14 @@ def test_group_endpoints_live_on_the_group():
     assert np.max(np.abs(np.linalg.det(mats) - 1.0)) < 1e-6
     coords = conjugacy_coordinate(su2, mats)
     assert np.all((coords >= 0.0) & (coords <= TWO_PI))
+
+
+def test_torus_endpoints_do_not_depend_on_the_step():
+    t2 = make_group("torus2")
+    ends = [sample_group_endpoint(SdeConfig(group=t2, t=0.5, step=h, paths=2000, seed=9))
+            for h in (1e-2, 5e-3, 1e-3)]
+    for x in ends[1:]:
+        assert_allclose(x, ends[0], rtol=1e-15, atol=0)
 
 
 def test_product_endpoints_are_block_diagonal():

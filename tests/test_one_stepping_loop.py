@@ -2,11 +2,14 @@
 runner ``_walk`` calls ``.advance(``, and no class defines ``drift`` (each
 engine's ``renormalize`` returns the drift it measured).  The draws have
 one place each: ``standard_normal`` appears only in ``_flat_draw`` (the
-exact flat endpoints) and in ``_walk`` (torus increments), and the
-group-side sign draw ``_signs`` only in ``_walk``.
+exact flat endpoints) and in ``_walk`` (the torus endpoint), and the
+group-side sign draw ``_signs`` only in ``_walk``.  ``_TorusEngine`` is
+named only in ``_ENGINES`` and in ``_walk``, so no estimator grows its own
+torus branch.
 
 The check parses the module and names the enclosing function of every
-``.advance(`` call, of every mention of a draw and every class that
+``.advance(`` call, of every mention of a draw or of ``_TorusEngine``
+(at module level, the name it is assigned to) and every class that
 defines ``drift``.
 """
 
@@ -45,6 +48,18 @@ def _mentions(tree, name):
                       or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
+def _naming_sites(tree, name):
+    """(enclosing function, line) of each mention of ``name``; at module
+    level the enclosing name is the plain name the statement assigns."""
+    sites = []
+    for stmt in tree.body:
+        owner = (stmt.targets[0].id if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.targets[0], ast.Name) else None)
+        sites += [(func or owner, line) for func, line
+                  in _mentions(ast.Module(body=[stmt], type_ignores=[]), name)]
+    return sites
+
+
 def _drift_classes(tree):
     return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
             and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -68,6 +83,30 @@ def test_normals_are_drawn_only_for_flat_endpoints_and_torus_steps():
 
 def test_only_the_path_runner_draws_group_increments():
     assert {func for func, _ in _mentions(_tree(), "_signs")} == {"_walk"}
+
+
+def test_only_the_engine_table_and_the_path_runner_name_the_torus_engine():
+    assert ({func for func, _ in _naming_sites(_tree(), "_TorusEngine")}
+            == {"_ENGINES", "_walk"})
+
+
+def test_the_torus_guard_sees_stray_branches():
+    code = (
+        '_ENGINES = {"torus": _TorusEngine}\n'
+        'def _walk(chunks):\n'
+        '    return all(isinstance(e, _TorusEngine) for e in chunks)\n'
+        'def mc_expect(chunk):\n'
+        '    if isinstance(chunk.engines[0], brownian._TorusEngine):\n'
+        '        return 0.0\n'
+        'class _Chunk:\n'
+        '    kind = _TorusEngine\n'
+        '    def advance(self):\n'
+        '        return _TorusEngine(self, 0)\n'
+        '_ENGINES["torus2"] = _TorusEngine\n'
+        'TORUS = _TorusEngine\n'
+    )
+    assert [f for f, _ in _naming_sites(ast.parse(code), "_TorusEngine")] == [
+        "_ENGINES", "_walk", "mc_expect", None, "advance", None, "TORUS"]
 
 
 def test_no_engine_defines_drift():
