@@ -94,11 +94,11 @@ class SdeConfig:
             raise DomainError("seed must be a 64-bit unsigned integer")
         if self.chunk < 1:
             raise DomainError("chunk must be >= 1")
-        if self.paths * self.n_steps > _COST_CAP:
-            raise ResourceLimitError(
-                f"paths*steps = {self.paths * self.n_steps:.3g} exceeds the "
-                f"cost cap {_COST_CAP:.3g}"
-            )
+        # a torus walk takes one step per path, but each chunk builds its n_steps step list
+        cost = (self.paths + -(-self.paths // self.chunk) * self.n_steps
+                if self.group.is_abelian else self.paths * self.n_steps)
+        if cost > _COST_CAP:
+            raise ResourceLimitError(f"cost {cost:.3g} exceeds the cost cap {_COST_CAP:.3g}")
 
     @property
     def n_steps(self) -> int:
@@ -400,29 +400,19 @@ class _SunEngine:
     def fold(self, m: np.ndarray) -> np.ndarray:
         """Alcove representative from the eigenvalues of SU(n) matrices.
 
-        Phases are sorted descending in (-pi, pi]; their total 2*pi*k, k in
-        {-floor((n-1)/2), .., floor(n/2)}, is absorbed into the k largest (or
-        -k smallest) entries, then the affine reduction a_1 - a_n <= 2*pi is
-        applied (each pass strictly decreases sum a^2, so it terminates).
-        Ambient convention: exp(H) = diag(e^{i a_j}) for H with coordinates
-        a; entries are kept in descending (positive chamber) order."""
+        Phases phi sorted descending in [-pi, pi] total 2*pi*k, k in
+        {-floor((n-1)/2), .., floor(n/2)}; the k largest move down by 2*pi (or
+        the -k smallest up), keep their order and land at the other end, so
+        rotating each row by k sorts it.  Its spread a_1 - a_n is 2*pi less
+        the gap at the cut (phi_k - phi_{k+1} for k > 0), or phi_1 - phi_n at
+        k = 0: at most 2*pi, so the point is in the closed alcove.  Ambient
+        convention: exp(H) = diag(e^{i a_j}), a in descending (chamber) order."""
         n = self.block
         a = -np.sort(-np.angle(np.linalg.eigvals(m)), axis=1)
         k = np.rint(a.sum(axis=1) / TWO_PI).astype(int)[:, None]
         cols = np.arange(n)
         a = a - TWO_PI * (cols < k) + TWO_PI * (cols >= n + k)
-        a = -np.sort(-a, axis=1)
-        for _ in range(4 * n):
-            over = a[:, 0] - a[:, -1] > TWO_PI + 1e-12
-            if not over.any():
-                break
-            a[over, 0] -= TWO_PI
-            a[over, -1] += TWO_PI
-            a[over] = -np.sort(-a[over], axis=1)
-        else:
-            raise InstabilityError(
-                f"{self.factor.name}: alcove reduction did not terminate")
-        return a @ self.factor._coord_map.T
+        return np.take_along_axis(a, (cols + k) % n, axis=1) @ self.factor._coord_map.T
 
     def project(self, z: np.ndarray) -> np.ndarray:
         # Z = sum z_a X_a with X_a = -i lambda_a / 2 is conjugate to
@@ -573,17 +563,23 @@ def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
     """Torus point in the closed fundamental alcove conjugate to x.
 
     Deterministic (sorted eigenvalue phases); accepts one matrix or a batch.
-    The input must sit on the group to 1e-6.
+    The input must sit on the group to 1e-6: unitary, zero off the factor
+    blocks and off a torus block's diagonal, else det 1 (and real on so3).
     """
     x = np.asarray(x)
     single = x.ndim == 2
-    if single:
-        x = x[None]
-    gram = x @ np.conj(np.transpose(x, (0, 2, 1)))
-    eye = np.eye(x.shape[1])
-    if float(np.max(np.abs(gram - eye[None]))) > 1e-6:
+    x = x[None] if single else x
+    chunk = _Chunk(g, 0)
+    off = np.ones(x.shape[1:], dtype=bool)
+    gaps = [x @ np.conj(np.transpose(x, (0, 2, 1))) - np.eye(x.shape[1])]
+    for e, s in zip(chunk.engines, chunk.blocks):
+        off[s, s] = ~np.eye(e.block, dtype=bool) if e.factor.is_abelian else False
+        if not e.factor.is_abelian:  # imaginary parts count on a real engine
+            gaps += [np.linalg.det(x[:, s, s]) - 1.0,
+                     x[:, s, s].imag * np.isrealobj(e.matrices())]
+    if max(float(np.max(np.abs(v), initial=0.0)) for v in gaps + [x[:, off]]) > 1e-6:
         raise DomainError(f"{g.name}: input is not on the group to 1e-6")
-    out = _Chunk(g, 0).fold(x)
+    out = chunk.fold(x)
     return out[0] if single else out
 
 
@@ -750,13 +746,15 @@ def weak_order_ratio(
 ):
     """Coupled estimate of the weak-error decay of the geodesic random walk.
 
-    Simulates each path three times from shared fine increments (signs, or
-    normals on a torus, where D1 and D2 are rounding) with steps h, h/2 and
-    h/4, coarse steps taking normalised sums, and returns (D1, D2, ratio,
-    stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 = E[f_{h/2} - f_{h/4}].
-    First-order weak convergence makes the ratio approach 2; the shared draws
-    cancel the O(1) noise that would otherwise swamp the bias difference.
+    Simulates each path three times from shared fine sign increments with
+    steps h, h/2 and h/4, coarse steps taking normalised sums, and returns
+    (D1, D2, ratio, stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 =
+    E[f_{h/2} - f_{h/4}].  First-order weak convergence makes the ratio
+    approach 2; the shared draws cancel the O(1) noise that would otherwise
+    swamp the bias difference.  A torus walk is exact, so tori are refused.
     """
+    if g.is_abelian:
+        raise DomainError(f"{g.name}: the walk is exact on a torus, so it has no weak order")
     n_h = int(round(t / h))
     if abs(n_h * h - t) > 1e-9:
         raise DomainError("t/h must be an integer for the coupled comparison")

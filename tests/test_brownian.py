@@ -60,6 +60,22 @@ def test_config_validation():
         SdeConfig(group=su2, t=1.0, step=1e-3, paths=10**9, seed=7)
 
 
+def test_cost_cap_counts_the_one_step_of_a_torus_walk():
+    # a torus walk draws its whole horizon at once: 1000 paths at h = 1e-6
+    # are one draw each, while the same request on su2 walks 1e6 steps
+    torus1, su2 = make_group("torus1"), make_group("su2")
+    cfg = SdeConfig(group=torus1, t=1.0, step=1e-6, paths=1000, seed=1)
+    assert cfg.n_steps == 10**6
+    with pytest.raises(ResourceLimitError, match="cost cap"):
+        SdeConfig(group=su2, t=1.0, step=1e-6, paths=1000, seed=1)
+    # the step list still holds n_steps entries, so it stays under the cap
+    with pytest.raises(ResourceLimitError, match="cost cap"):
+        SdeConfig(group=torus1, t=1.0, step=1e-9, paths=1, seed=1)
+    # and every chunk builds it: 25000 chunks of 20000 paths over 5e8 steps
+    with pytest.raises(ResourceLimitError, match="cost cap"):
+        SdeConfig(group=torus1, t=1.0, step=2e-9, paths=5 * 10**8, seed=1)
+
+
 def test_step_count_and_remainder():
     su2 = make_group("su2")
     assert SdeConfig(group=su2, t=1.0, step=1e-3, paths=1, seed=0).n_steps == 1000
@@ -442,6 +458,21 @@ def test_conjugacy_coordinate_identity_and_rejection():
         conjugacy_coordinate(su2, 1.01 * np.eye(2))
 
 
+@pytest.mark.parametrize("name, x", [
+    ("su2", np.diag([1.0, -1.0])),                       # det -1
+    ("su3", 1j * np.eye(3)),                             # det -i
+    ("so3", -np.eye(3)),                                 # a reflection
+    ("su2xsu2", np.kron([[0, 1], [1, 0]], np.eye(2))),   # the blocks swapped
+    ("torus2", np.array([[0.0, 1.0], [1.0, 0.0]])),      # off the diagonal
+    ("so3", np.diag([1, 1j, -1j])),                      # unitary, det 1, not real
+], ids=["su2-det", "su3-det", "so3-reflection", "su2xsu2-swapped", "torus2-off-diagonal",
+        "so3-complex"])
+def test_conjugacy_coordinate_rejects_unitary_input_off_the_group(name, x):
+    assert np.allclose(x @ np.conj(x.T), np.eye(len(x)))
+    with pytest.raises(DomainError, match="not on the group"):
+        conjugacy_coordinate(make_group(name), x)
+
+
 # ---------------------------------------------------------------------------
 # the transport identity, Monte Carlo side
 # ---------------------------------------------------------------------------
@@ -625,6 +656,16 @@ def test_drift_guard_catches_a_real_drift(name):
     mats = chunk.matrices()
     gram = mats @ np.conj(np.transpose(mats, (0, 2, 1)))
     assert np.max(np.abs(gram - np.eye(mats.shape[1]))) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["torus1", "torus2"])
+def test_weak_order_ratio_refuses_a_torus(name):
+    # the torus walk is exact, so D1 and D2 would be rounding (about 1e-17)
+    # and their ratio noise
+    g = make_group(name)
+    with pytest.raises(DomainError, match="torus"):
+        weak_order_ratio(g, real_character(g, (1,) * g.rank), t=0.3, h=0.01,
+                         paths=200, seed=4)
 
 
 def test_weak_order_ratio_needs_integer_steps():

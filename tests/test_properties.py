@@ -1,6 +1,7 @@
 """Property tests of the spectral core: weight enumeration, its per-group
 table, the FFT quadrature round trip, Weyl invariance of character
-synthesis, and the proved tail bounds behind both truncations.
+synthesis, and the proved tail bounds behind both truncations; and of the
+su<n> conjugacy fold from matrices to alcove points.
 
 The weight reference below is an independent brute-force scan in Fractions:
 the exact pairings are recovered from the float catalog data (all of them
@@ -23,8 +24,10 @@ from wrapkit import (
     RadialFunction,
     alcove_points,
     auto_cutoff,
+    conjugacy_coordinate,
     enumerate_weights,
     fourier_coefficients,
+    is_regular,
     j_compact,
     lattice_points,
     make_group,
@@ -296,3 +299,46 @@ def test_lattice_terms_past_the_bound_radius_are_below_a_tenth_of_tol(name, t, l
 def test_upper_gamma_matches_scipy_at_half_integer_orders(k, x):
     s = k + 0.5
     assert math.isclose(_upper_gamma(s, x), gammaincc(s, x) * gamma(s), rel_tol=1e-12)
+
+
+def _haar_sun(rng, n):
+    """A Haar-random SU(n) element: the QR factor of a complex normal matrix
+    (R's diagonal made positive), over an n-th root of its determinant."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return q / np.linalg.det(q) ** (1.0 / n)
+
+
+def _torus_element(g, H):
+    """exp(H) in SU(n) as diag(e^{i a}): alpha_i(H) = a_i - a_{i+1}, sum a = 0."""
+    a = np.concatenate([[0.0], -np.cumsum(g.simple_roots @ H)])
+    return np.diag(np.exp(1j * (a - a.mean())))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)  # su5 builds its Weyl group
+@given(name=st.sampled_from(("su3", "su4", "su5")),
+       kind=st.sampled_from(("haar", "centre", "repeated")), seed=st.integers(0, 2**32 - 1))
+def test_sun_fold_lands_in_the_closed_alcove_on_the_input_class(name, kind, seed):
+    g = make_group(name)
+    n = g.rank + 1
+    rng = np.random.default_rng(seed)
+    if kind == "haar":
+        x = _haar_sun(rng, n)
+    elif kind == "centre":
+        x = np.exp(TWO_PI * 1j * rng.integers(n) / n) * np.eye(n)
+    else:
+        # fewer distinct phases than entries, so at least one repeats
+        distinct = rng.uniform(-math.pi, math.pi, size=rng.integers(1, n))
+        phases = distinct[rng.integers(len(distinct), size=n)]
+        x = np.diag(np.exp(1j * (phases - phases.mean())))
+    H = conjugacy_coordinate(g, x)
+    # the closed alcove: every simple root >= 0, the highest root <= 2 pi
+    highest = g.positive_roots[np.argmax(g.positive_roots @ g.rho)]
+    assert np.min(g.simple_roots @ H) >= -1e-9
+    assert highest @ H <= TWO_PI + 1e-9
+    # the same class: equal characteristic polynomials, so equal eigenvalues
+    poly = np.poly(np.diag(_torus_element(g, H)))
+    assert np.max(np.abs(poly - np.poly(np.linalg.eigvals(x)))) <= 1e-9
+    if is_regular(g, H):
+        w = _haar_sun(np.random.default_rng(n), n)
+        assert np.max(np.abs(conjugacy_coordinate(g, w @ x @ np.conj(w.T)) - H)) <= 1e-9
