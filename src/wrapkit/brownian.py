@@ -94,28 +94,22 @@ class SdeConfig:
             raise DomainError("seed must be a 64-bit unsigned integer")
         if self.chunk < 1:
             raise DomainError("chunk must be >= 1")
-        # a torus walk takes one step per path, but each chunk builds its n_steps step list
-        cost = (self.paths + -(-self.paths // self.chunk) * self.n_steps
-                if self.group.is_abelian else self.paths * self.n_steps)
+        cost = self.paths * self.n_steps
         if cost > _COST_CAP:
             raise ResourceLimitError(f"cost {cost:.3g} exceeds the cost cap {_COST_CAP:.3g}")
 
     @property
     def n_steps(self) -> int:
+        """The number of steps the walk takes: one on a torus."""
+        if self.group.is_abelian:  # exp is a homomorphism: the horizon is one exact step
+            return 1
         n = int(math.floor(self.t / self.step + 1e-9))
         return n if abs(n * self.step - self.t) < 1e-9 * max(self.t, 1.0) else n + 1
 
     def chunks(self) -> list[tuple[int, int]]:
         """(index, size) pairs covering all paths in order."""
-        out = []
-        done = 0
-        idx = 0
-        while done < self.paths:
-            size = min(self.chunk, self.paths - done)
-            out.append((idx, size))
-            done += size
-            idx += 1
-        return out
+        return [(i, min(self.chunk, self.paths - i * self.chunk))
+                for i in range(-(-self.paths // self.chunk))]
 
 
 @dataclass(frozen=True)
@@ -501,19 +495,16 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
     ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
 
     Each step draws 2^levels fine increment vectors at once: signs, or normals
-    on a torus, whose steps merge into one exact step (no catalog group mixes
-    torus and non-abelian factors).  A level-l substep is driven by the sum of
-    2^(levels - l) consecutive fine draws over its square root (for signs
-    {0, +-sqrt 2} at width 2, {0, +-1, +-2} at width 4), so every level sees
-    the same walk (Giles' coupling, Oper. Res. 56, 2008).  Every chunk is
-    renormalized and guarded every _RENORM_EVERY steps and after the last one."""
+    on a torus (no catalog group mixes torus and non-abelian factors).  A
+    level-l substep is driven by the sum of 2^(levels - l) consecutive fine
+    draws over its square root (for signs {0, +-sqrt 2} at width 2, {0, +-1,
+    +-2} at width 4), so every level sees the same walk (Giles' coupling,
+    Oper. Res. 56, 2008).  Every chunk is renormalized and guarded every
+    _RENORM_EVERY steps and after the last one."""
     chunks = [_Chunk(g, count) for _ in range(levels + 1)]
-    torus = all(isinstance(e, _TorusEngine) for e in chunks[0].engines)
-    if torus:  # exp is a homomorphism on a torus: the horizon is one exact step
-        steps = [math.fsum(steps)]
     shape = (2 ** levels, count, g.dim)
     for k, h in enumerate(steps):
-        fine = rng.standard_normal(shape) if torus else _signs(rng, shape)
+        fine = rng.standard_normal(shape) if g.is_abelian else _signs(rng, shape)
         for level, chunk in enumerate(chunks):
             width = 2 ** (levels - level)
             zs = fine if width == 1 else (
@@ -570,8 +561,11 @@ def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 2
     x = x[None] if single else x
     chunk = _Chunk(g, 0)
+    size = chunk.blocks[-1].stop
+    if x.ndim != 3 or x.shape[1:] != (size, size):
+        raise DomainError(f"{g.name}: input must be one {size}x{size} matrix or a batch")
     off = np.ones(x.shape[1:], dtype=bool)
-    gaps = [x @ np.conj(np.transpose(x, (0, 2, 1))) - np.eye(x.shape[1])]
+    gaps = [x @ np.conj(np.transpose(x, (0, 2, 1))) - np.eye(size)]
     for e, s in zip(chunk.engines, chunk.blocks):
         off[s, s] = ~np.eye(e.block, dtype=bool) if e.factor.is_abelian else False
         if not e.factor.is_abelian:  # imaginary parts count on a real engine

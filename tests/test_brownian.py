@@ -62,18 +62,26 @@ def test_config_validation():
 
 def test_cost_cap_counts_the_one_step_of_a_torus_walk():
     # a torus walk draws its whole horizon at once: 1000 paths at h = 1e-6
-    # are one draw each, while the same request on su2 walks 1e6 steps
+    # are one step each, while the same request on su2 walks 1e6 steps
     torus1, su2 = make_group("torus1"), make_group("su2")
     cfg = SdeConfig(group=torus1, t=1.0, step=1e-6, paths=1000, seed=1)
-    assert cfg.n_steps == 10**6
+    assert cfg.n_steps == 1
     with pytest.raises(ResourceLimitError, match="cost cap"):
         SdeConfig(group=su2, t=1.0, step=1e-6, paths=1000, seed=1)
-    # the step list still holds n_steps entries, so it stays under the cap
+    # no step list grows with t / h, so any step is one step
+    assert SdeConfig(group=torus1, t=1.0, step=1e-9, paths=1, seed=1).n_steps == 1
+    # the cap is paths times that one step
     with pytest.raises(ResourceLimitError, match="cost cap"):
-        SdeConfig(group=torus1, t=1.0, step=1e-9, paths=1, seed=1)
-    # and every chunk builds it: 25000 chunks of 20000 paths over 5e8 steps
-    with pytest.raises(ResourceLimitError, match="cost cap"):
-        SdeConfig(group=torus1, t=1.0, step=2e-9, paths=5 * 10**8, seed=1)
+        SdeConfig(group=torus1, t=1.0, step=1e-9, paths=5 * 10**8 + 1, seed=1)
+
+
+def test_torus_request_at_a_tiny_step_is_one_exact_step():
+    # the one exact step covers the horizon whatever h, so h = 1e-9 is
+    # accepted and gives the endpoints of the bench step bit for bit
+    torus1 = make_group("torus1")
+    fine = SdeConfig(group=torus1, t=1.0, step=1e-9, paths=1000, seed=3)
+    coarse = SdeConfig(group=torus1, t=1.0, step=5e-3, paths=1000, seed=3)
+    assert np.array_equal(sample_group_endpoint(fine), sample_group_endpoint(coarse))
 
 
 def test_step_count_and_remainder():
@@ -171,13 +179,19 @@ def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels
 
 def test_torus_walk_takes_its_horizon_in_one_exact_draw(monkeypatch):
     # exp is a homomorphism on a torus, so the endpoint is one N(0, t I)
-    # draw whatever the step list, here one ending in a partial step; signs
-    # would put it on a lattice 2 sqrt(h) apart
+    # draw whatever the step, here one that ends the horizon in a partial
+    # step; signs would put it on a lattice 2 sqrt(h) apart
     g = make_group("torus2")
-    count, steps = 300, [0.01] * 4 + [0.003]
-    (z, sqh), = _walk_increments(monkeypatch, g, count, steps, 0, (11, 0, 0))
-    assert np.array_equal(z, brownian._rng(11, 0, 0).standard_normal((1, count, g.dim)))
-    assert sqh.tolist() == [math.sqrt(math.fsum(steps))]
+    count, t = 300, 0.043
+    cfg = SdeConfig(group=g, t=t, step=0.01, paths=count, seed=11)
+    seen = []
+    monkeypatch.setattr(brownian._Chunk, "advance",
+                        lambda self, z, sqh: seen.append((z.copy(), sqh)))
+    brownian._run_chunk(cfg, 0, count)
+    (z, sqh), = seen
+    draw = brownian._rng(11, brownian._TAG_GROUP, 0).standard_normal((1, count, g.dim))
+    assert np.array_equal(z[None], draw)
+    assert sqh == math.sqrt(t)
 
 
 def test_signs_are_keyed_by_seed_tag_and_chunk():
@@ -470,6 +484,17 @@ def test_conjugacy_coordinate_identity_and_rejection():
 def test_conjugacy_coordinate_rejects_unitary_input_off_the_group(name, x):
     assert np.allclose(x @ np.conj(x.T), np.eye(len(x)))
     with pytest.raises(DomainError, match="not on the group"):
+        conjugacy_coordinate(make_group(name), x)
+
+
+@pytest.mark.parametrize("name, x", [
+    ("su2xsu2", np.eye(2)),                              # one factor's block
+    ("su3", np.eye(2)),                                  # too small a matrix
+    ("torus2", np.eye(1)),                               # one angle of two
+    ("su2", np.eye(2)[None, None]),                      # a batch of batches
+], ids=["su2xsu2-one-block", "su3-2x2", "torus2-1x1", "su2-4d"])
+def test_conjugacy_coordinate_rejects_input_off_the_block_layout(name, x):
+    with pytest.raises(DomainError, match="matrix or a batch"):
         conjugacy_coordinate(make_group(name), x)
 
 

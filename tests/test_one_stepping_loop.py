@@ -4,13 +4,16 @@ engine's ``renormalize`` returns the drift it measured).  The draws have
 one place each: ``standard_normal`` appears only in ``_flat_draw`` (the
 exact flat endpoints) and in ``_walk`` (the torus endpoint), and the
 group-side sign draw ``_signs`` only in ``_walk``.  ``_TorusEngine`` is
-named only in ``_ENGINES`` and in ``_walk``, so no estimator grows its own
-torus branch.
+named only in ``_ENGINES``, so no estimator grows its own torus branch.
+That a torus walk is one step is stated once, in ``SdeConfig.n_steps``:
+``math.fsum`` appears nowhere, and ``is_abelian`` is read only there, in
+``_walk`` (normals or signs), in ``weak_order_ratio`` (the refusal) and in
+``conjugacy_coordinate`` (the membership checks).
 
 The check parses the module and names the enclosing function of every
-``.advance(`` call, of every mention of a draw or of ``_TorusEngine``
-(at module level, the name it is assigned to) and every class that
-defines ``drift``.
+``.advance(`` call, of every mention of a draw, of ``_TorusEngine`` (at
+module level, the name it is assigned to), of ``fsum`` and of
+``is_abelian``, and every class that defines ``drift``.
 """
 
 import ast
@@ -85,9 +88,30 @@ def test_only_the_path_runner_draws_group_increments():
     assert {func for func, _ in _mentions(_tree(), "_signs")} == {"_walk"}
 
 
-def test_only_the_engine_table_and_the_path_runner_name_the_torus_engine():
-    assert ({func for func, _ in _naming_sites(_tree(), "_TorusEngine")}
-            == {"_ENGINES", "_walk"})
+def test_only_the_engine_table_names_the_torus_engine():
+    assert {func for func, _ in _naming_sites(_tree(), "_TorusEngine")} == {"_ENGINES"}
+
+
+def test_only_the_step_count_states_the_one_torus_step():
+    tree = _tree()
+    assert _mentions(tree, "fsum") == []
+    assert ({func for func, _ in _mentions(tree, "is_abelian")}
+            == {"n_steps", "_walk", "weak_order_ratio", "conjugacy_coordinate"})
+
+
+def test_the_one_step_guard_sees_stray_sums_and_abelian_tests():
+    code = (
+        'class SdeConfig:\n'
+        '    def n_steps(self):\n'
+        '        return 1 if self.group.is_abelian else 2\n'
+        'def _walk(g, steps):\n'
+        '    steps = [math.fsum(steps)] if g.is_abelian else steps\n'
+        '    return fsum(steps)\n'
+        'ABELIAN = [g for g in GROUPS if g.is_abelian]\n'
+    )
+    tree = ast.parse(code)
+    assert [f for f, _ in _mentions(tree, "fsum")] == ["_walk", "_walk"]
+    assert [f for f, _ in _mentions(tree, "is_abelian")] == ["n_steps", "_walk", None]
 
 
 def test_the_torus_guard_sees_stray_branches():

@@ -1,7 +1,8 @@
 """Property tests of the spectral core: weight enumeration, its per-group
 table, the FFT quadrature round trip, Weyl invariance of character
-synthesis, and the proved tail bounds behind both truncations; and of the
-su<n> conjugacy fold from matrices to alcove points.
+synthesis, and the proved tail bounds behind both truncations; of the
+su<n> conjugacy fold from matrices to alcove points; and of the chunk layout
+of a path request.
 
 The weight reference below is an independent brute-force scan in Fractions:
 the exact pairings are recovered from the float catalog data (all of them
@@ -22,6 +23,7 @@ from wrapkit import (
     CentralFunction,
     InstabilityError,
     RadialFunction,
+    SdeConfig,
     alcove_points,
     auto_cutoff,
     conjugacy_coordinate,
@@ -342,3 +344,14 @@ def test_sun_fold_lands_in_the_closed_alcove_on_the_input_class(name, kind, seed
     if is_regular(g, H):
         w = _haar_sun(np.random.default_rng(n), n)
         assert np.max(np.abs(conjugacy_coordinate(g, w @ x @ np.conj(w.T)) - H)) <= 1e-9
+
+
+@given(paths=st.integers(1, 2 * 10**5), chunk=st.integers(1, 10**5))
+def test_chunks_cover_the_paths_in_order_in_full_chunks(paths, chunk):
+    cfg = SdeConfig(group=make_group("su2"), t=0.01, step=0.01, paths=paths, seed=0,
+                    chunk=chunk)
+    layout = cfg.chunks()
+    assert [i for i, _ in layout] == list(range(len(layout)))
+    assert sum(size for _, size in layout) == paths
+    assert all(size == chunk for _, size in layout[:-1])
+    assert 1 <= layout[-1][1] <= chunk
