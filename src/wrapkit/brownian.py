@@ -23,9 +23,8 @@ The su<n> engine runs no eigen-solver per step.  It builds the Hermitian
 increment A from two real products with the stacked generators and takes
 exp(-i A) = sum_{j<n} f_j A^j: the Taylor series folded into degree < n by
 Cayley-Hamilton (Moler & Van Loan, SIAM Rev. 45, 2003), with A^n written in
-lower powers through Newton's identities on tr A^k.  Scaling by 2^s >= r,
-r the chunk's largest Frobenius norm, and a proved tail bound of 2^-60 fix
-the term count from the chunk's own data; at the engine's steps s = 0.
+lower powers through Newton's identities on tr A^k.  A proved 2^-60 tail
+bound fixes the term count from the chunk's largest norm, < 0.7 at h <= 0.01.
 
 One runner, ``_walk``, steps the paths of every estimator: a single chunk
 for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
@@ -86,6 +85,7 @@ class SdeConfig:
     def __post_init__(self):
         if self.t <= 0:
             raise DomainError("horizon t must be positive")
+        # the su<n> step exponential's norm bound of 1 rests on h <= 0.01
         if not 0 < self.step <= min(self.t, 0.01):
             raise DomainError("step must satisfy 0 < h <= min(t, 0.01)")
         if self.paths < 1:
@@ -212,14 +212,10 @@ def _hamiltonian(z: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _exp_minus_i(a: np.ndarray) -> np.ndarray:
-    """exp(-i A) = sum_{j<n} f_j A^j for a batch of Hermitian n x n matrices A.
-
-    The f_j are the Taylor sum of exp(-i B), B = A / 2^s with 2^s > r, r the
-    batch's largest Frobenius norm, over the fewest terms N with
-    r_s^N e^{r_s} / N! <= 2^-60 (r_s = r / 2^s; the series' tail bound),
-    folded by Cayley-Hamilton through Newton's identities on tr B^k.  The
-    result is squared s times; one Bjorck step U (3 - U^+ U) / 2 then undoes
-    the defect off U(n) that each squaring doubled."""
+    """exp(-i A) = sum_{j<n} f_j A^j for a batch of Hermitian n x n matrices A
+    of largest Frobenius norm r <= 1 (else InstabilityError; steps keep r < 0.7):
+    the Taylor sum over the fewest terms N with r^N e^r / N! <= 2^-60 (its tail
+    bound), folded by Cayley-Hamilton through Newton's identities on tr A^k."""
     n = a.shape[-1]
     powers = [a]                                    # A, A^2, .., A^{n-1}
     for _ in range(n - 2):
@@ -227,20 +223,20 @@ def _exp_minus_i(a: np.ndarray) -> np.ndarray:
     traces = [np.einsum("cii->c", x).real for x in powers]
     traces.append(np.einsum("cij,cji->c", powers[-1], a).real)
     r = math.sqrt(float(traces[1].max(initial=0.0)))
-    s = math.frexp(r)[1] if r > 1 else 0            # 2^s > r
-    terms, tail = 0, math.exp(r / 2**s)
+    if not r <= 1.0:
+        raise InstabilityError(f"step exponential: increment norm {r:.3g} exceeds 1")
+    terms, tail = 0, math.exp(r)
     while tail > 2.0**-60:
         terms += 1
-        tail *= r / 2**s / terms
-    # Newton: the elementary symmetric e_k of B's eigenvalues, then B^n = sum c_j B^j
+        tail *= r / terms
+    # Newton: the elementary symmetric e_k of A's eigenvalues, then A^n = sum c_j A^j
     e = [np.ones(len(a))]
     for k in range(1, n + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * (traces[i - 1] / 2.0 ** (s * i))
-                     for i in range(1, k + 1)) / k)
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
     c = np.array([(-1) ** (n - 1 - j) * e[n - j] for j in range(n)], dtype=complex)
-    f = np.zeros((n, len(a)), dtype=complex)        # f_j in the basis B^j
+    f = np.zeros((n, len(a)), dtype=complex)        # f_j in the basis A^j
     f[0] = 1.0
-    for k in range(terms - 1, 0, -1):               # f <- 1 + (-i B / k) f
+    for k in range(terms - 1, 0, -1):               # f <- 1 + (-i A / k) f
         bf = f[-1] * c
         bf[1:] += f[:-1]
         f = bf * (-1j / k)
@@ -248,11 +244,7 @@ def _exp_minus_i(a: np.ndarray) -> np.ndarray:
     u = np.zeros_like(a)
     u[:, range(n), range(n)] = f[0][:, None]
     for j, x in enumerate(powers, start=1):
-        u += (f[j] / 2.0 ** (s * j))[:, None, None] * x
-    for _ in range(s):
-        u = u @ u
-    if s:
-        u = 1.5 * u - 0.5 * u @ (np.conj(np.transpose(u, (0, 2, 1))) @ u)
+        u += f[j][:, None, None] * x
     return u
 
 
@@ -380,10 +372,10 @@ class _SunEngine:
         self.m = self.m @ _exp_minus_i(_hamiltonian(z, 0.5 * sqh))
 
     def renormalize(self) -> float:
-        gram = self.m @ np.conj(np.transpose(self.m, (0, 2, 1)))
-        u, _, vt = np.linalg.svd(self.m)
+        # drift: max |sigma^2 - 1|, the spectral norm of m m^+ - I (>= any entry)
+        u, sigma, vt = np.linalg.svd(self.m)
         self.m = u @ vt
-        return float(np.max(np.abs(gram - np.eye(self.block)[None])))
+        return float(np.max(np.abs(sigma * sigma - 1.0)))
 
     def alcove_coords(self) -> np.ndarray:
         return self.fold(self.m)
@@ -735,7 +727,7 @@ def weak_order_ratio(
     h: float,
     paths: int,
     seed: int,
-    chunk: int = 20000,
+    chunk: int = SdeConfig.chunk,
     threads: int | None = None,
 ):
     """Coupled estimate of the weak-error decay of the geodesic random walk.

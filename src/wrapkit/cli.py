@@ -359,7 +359,7 @@ _COMMANDS: dict = {
             _Param("step", float, 1e-3, "random-walk step h"),
             _Param("paths", int, 100000, "number of paths"),
             _Param("seed", int, 0, "master seed"),
-            _Param("chunk", int, 20000, "paths per deterministic substream"),
+            _Param("chunk", int, SdeConfig.chunk, "paths per deterministic substream"),
             _Param("bins", int, 12, "histogram bins over the alcove"),
         ),
     ),
@@ -372,7 +372,7 @@ _COMMANDS: dict = {
             _Param("step", float, 5e-3, "random-walk step h"),
             _Param("paths", int, 100000, "number of paths"),
             _Param("seed", int, 0, "master seed"),
-            _Param("chunk", int, 20000, "paths per deterministic substream"),
+            _Param("chunk", int, SdeConfig.chunk, "paths per deterministic substream"),
             _Param("rep", str, None,
                    "dominant weight coordinates k1,k2,... (default 1,0,...)"),
         ),

@@ -106,7 +106,7 @@ def preferred_route(g: GroupSpec, H, t: float) -> str:
     """Which evaluator auto_kernel would trust: the geodesic sum at small
     times on regular points, the character series everywhere else."""
     pts, _ = _as_points(g, H)
-    if t < 0.25 and all(is_regular(g, p) for p in pts):
+    if t < 0.25 and is_regular(g, pts):
         return "wrapped"
     return "spectral"
 

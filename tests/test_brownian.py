@@ -413,14 +413,17 @@ def _eigh_exp(a):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_step_exponential_matches_eigh(n):
-    # scale 1 is the Hamiltonian of a unit step (sqrt h = 1); the engines
-    # step at sqrt h <= 0.1.  A Taylor sum without the scaling and the term
-    # bound loses every digit at scale 30.  The s squarings double the
-    # defect off U(n) s times (1e-13 at scale 30 on su5) until the final
-    # Bjorck step takes it back to rounding.
+    # The engines step at sqrt h <= 0.1 with increment entries |z_a| <= 2
+    # (the coarsest coupled level of weak_order_ratio), so the worst
+    # reachable Hamiltonian is _hamiltonian(z, 0.05) with z in {+-2}^d:
+    # Frobenius norm 0.1 sqrt(2d), 0.40 / 0.55 / 0.69 on su3 / su4 / su5.
+    # The Taylor sum takes no scaling, so a norm above 1 (here the
+    # Hamiltonian of a unit step, sqrt h = 1) raises instead.
+    d = n * n - 1
     rng = np.random.default_rng(40 + n)
-    cases = [brownian._hamiltonian(rng.standard_normal((64, n * n - 1)), 0.5 * scale)
-             for scale in (0.05, 1.0, 5.0, 30.0)]
+    cases = [brownian._hamiltonian(rng.standard_normal((64, d)), 0.5 * 0.05),
+             brownian._hamiltonian(2.0 * rng.choice([-1.0, 1.0], size=(64, d)), 0.5 * 0.1)]
+    unit = brownian._hamiltonian(rng.standard_normal((64, d)), 0.5)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     wall = 0.3 * np.diag([1.0, 1.0, -2.0] + [0.0] * (n - 3))
     close = np.diag(np.arange(n) - (n - 1) / 2) * 1e-9 + wall
@@ -430,6 +433,9 @@ def test_step_exponential_matches_eigh(n):
         u = brownian._exp_minus_i(a)
         assert np.max(np.abs(u - _eigh_exp(a))) < 1e-13
         assert np.max(np.abs(u @ np.conj(np.transpose(u, (0, 2, 1))) - np.eye(n))) < 1e-14
+    assert math.isclose(np.linalg.norm(cases[1][0]), 0.1 * math.sqrt(2 * d))
+    with pytest.raises(InstabilityError):
+        brownian._exp_minus_i(unit)
 
 
 @pytest.mark.parametrize("name", ["su3", "su4"])

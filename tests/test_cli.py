@@ -9,6 +9,7 @@ when one is on ``PATH``).  Neither needs the package to be installed.
 """
 
 import csv
+import inspect
 import json
 import shutil
 import subprocess
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import wrapkit
-from wrapkit import cli
+from wrapkit import SdeConfig, cli, weak_order_ratio
 
 
 def _run(argv, tmp_path, name="out.txt"):
@@ -328,6 +329,13 @@ def test_thread_count_never_changes_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("WRAPKIT_THREADS", "3")
     _, env3 = _run(argv, tmp_path, "t3.csv")
     assert env3 == base
+
+
+def test_cli_chunk_defaults_are_the_config_default():
+    for command in ("simulate", "wrap-bm-check"):
+        ns = cli._parser().parse_args([command, "--group", "su2"])
+        assert ns.chunk == SdeConfig.chunk
+    assert inspect.signature(weak_order_ratio).parameters["chunk"].default == SdeConfig.chunk
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,11 @@ def test_preferred_route():
     assert preferred_route(su2, np.array([1.0]), 0.5) == "spectral"
     # singular point forces the series even at small time
     assert preferred_route(su2, np.array([0.0]), 0.1) == "spectral"
+    # a batch takes the geodesic sum only if every point is regular
+    su3 = make_group("su3")
+    batch = np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 0.7]])
+    assert preferred_route(su3, batch, 0.1) == "wrapped"
+    assert preferred_route(su3, np.vstack([batch, [[0.0, 1.5]]]), 0.1) == "spectral"
 
 
 def test_auto_kernel_matches_both_routes():

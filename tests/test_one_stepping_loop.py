@@ -8,12 +8,15 @@ named only in ``_ENGINES``, so no estimator grows its own torus branch.
 That a torus walk is one step is stated once, in ``SdeConfig.n_steps``:
 ``math.fsum`` appears nowhere, and ``is_abelian`` is read only there, in
 ``_walk`` (normals or signs), in ``weak_order_ratio`` (the refusal) and in
-``conjugacy_coordinate`` (the membership checks).
+``conjugacy_coordinate`` (the membership checks).  The step exponential
+``_exp_minus_i`` is named only in ``_SunEngine.step``, so the su<n> step
+is the one place an increment is exponentiated.
 
 The check parses the module and names the enclosing function of every
 ``.advance(`` call, of every mention of a draw, of ``_TorusEngine`` (at
 module level, the name it is assigned to), of ``fsum`` and of
-``is_abelian``, and every class that defines ``drift``.
+``is_abelian``, the enclosing method, with its class, of every mention of
+``_exp_minus_i``, and every class that defines ``drift``.
 """
 
 import ast
@@ -22,19 +25,22 @@ from pathlib import Path
 from wrapkit import brownian
 
 
-def _enclosing(tree, hit):
-    """(enclosing function, line) of each node for which hit(node) holds."""
+def _enclosing(tree, hit, qualified=False):
+    """(enclosing function, line) of each node for which hit(node) holds;
+    qualified names a function inside a class ``Class.function``."""
     found = []
 
-    def visit(node, func):
+    def visit(node, func, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+            func = f"{cls}.{node.name}" if qualified and cls else node.name
         if hit(node):
             found.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, func, cls)
 
-    visit(tree, None)
+    visit(tree, None, None)
     return found
 
 
@@ -45,10 +51,10 @@ def _advance_callers(tree):
                       and node.func.attr == "advance")
 
 
-def _mentions(tree, name):
+def _mentions(tree, name, qualified=False):
     """(enclosing function, line) of each plain name or attribute ``name``."""
     return _enclosing(tree, lambda node: (isinstance(node, ast.Name) and node.id == name)
-                      or (isinstance(node, ast.Attribute) and node.attr == name))
+                      or (isinstance(node, ast.Attribute) and node.attr == name), qualified)
 
 
 def _naming_sites(tree, name):
@@ -131,6 +137,29 @@ def test_the_torus_guard_sees_stray_branches():
     )
     assert [f for f, _ in _naming_sites(ast.parse(code), "_TorusEngine")] == [
         "_ENGINES", "_walk", "mc_expect", None, "advance", None, "TORUS"]
+
+
+def test_only_the_sun_step_exponentiates_increments():
+    assert [f for f, _ in _mentions(_tree(), "_exp_minus_i", qualified=True)] == [
+        "_SunEngine.step"]
+
+
+def test_the_step_exponential_guard_sees_stray_call_sites():
+    code = (
+        'def _exp_minus_i(a):\n'
+        '    return a\n'
+        'class _SunEngine:\n'
+        '    def step(self, z):\n'
+        '        self.m = self.m @ _exp_minus_i(z)\n'
+        'class _Table:\n'
+        '    def step(self, z):\n'
+        '        return brownian._exp_minus_i(z)\n'
+        'def step(z):\n'
+        '    return _exp_minus_i(z)\n'
+        'EXP = _exp_minus_i\n'
+    )
+    assert [f for f, _ in _mentions(ast.parse(code), "_exp_minus_i", qualified=True)] == [
+        "_SunEngine.step", "_Table.step", "step", None]
 
 
 def test_no_engine_defines_drift():

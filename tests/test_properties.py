@@ -1,7 +1,8 @@
 """Property tests of the spectral core: weight enumeration, its per-group
 table, the FFT quadrature round trip, Weyl invariance of character
 synthesis, and the proved tail bounds behind both truncations; of the
-su<n> conjugacy fold from matrices to alcove points; and of the chunk layout
+su<n> conjugacy fold from matrices to alcove points; of the su<n> step
+exponential on every increment the walk can make; and of the chunk layout
 of a path request.
 
 The weight reference below is an independent brute-force scan in Fractions:
@@ -39,6 +40,7 @@ from wrapkit import (
     wrap_spectral,
     wrapped_heat_kernel,
 )
+from wrapkit.brownian import _exp_minus_i, _hamiltonian
 from wrapkit.groups import TWO_PI, CharacterTable
 from wrapkit.wrapping import _lattice_radius, _ring_width, _upper_gamma
 
@@ -344,6 +346,31 @@ def test_sun_fold_lands_in_the_closed_alcove_on_the_input_class(name, kind, seed
     if is_regular(g, H):
         w = _haar_sun(np.random.default_rng(n), n)
         assert np.max(np.abs(conjugacy_coordinate(g, w @ x @ np.conj(w.T)) - H)) <= 1e-9
+
+
+@settings(deadline=None)  # first calls build the generators
+@given(name=st.sampled_from(("su3", "su4", "su5")),
+       h=st.floats(0.0, 0.01, exclude_min=True),
+       levels_level=st.sampled_from(((0, 0), (2, 0), (2, 1), (2, 2))),
+       extreme=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_sun_step_exponential_is_exact_and_unitary_on_reachable_increments(
+        name, h, levels_level, extreme, seed):
+    # the walk's increments: a level-l substep of a walk with `levels`
+    # coupled levels sums 2^(levels - l) signs over its square root, so
+    # z is in {+-1}, {0, +-sqrt 2} or {0, +-1, +-2}, at sqh = sqrt(h / 2^l);
+    # `extreme` puts every entry at the largest magnitude of its form
+    levels, level = levels_level
+    n = make_group(name).rank + 1
+    width = 2 ** (levels - level)
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], size=(width, 32, n * n - 1))
+    z = signs[0] * math.sqrt(width) if extreme else signs.sum(axis=0) / math.sqrt(width)
+    a = _hamiltonian(z, 0.5 * math.sqrt(h / 2 ** level))
+    w, v = np.linalg.eigh(a)
+    ref = np.einsum("cik,ck,cjk->cij", v, np.exp(-1j * w), np.conj(v))
+    u = _exp_minus_i(a)
+    assert np.max(np.abs(u - ref)) < 1e-13
+    assert np.max(np.abs(u @ np.conj(np.transpose(u, (0, 2, 1))) - np.eye(n))) < 1e-14
 
 
 @given(paths=st.integers(1, 2 * 10**5), chunk=st.integers(1, 10**5))
