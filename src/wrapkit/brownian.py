@@ -24,7 +24,14 @@ increment A from two real products with the stacked generators and takes
 exp(-i A) = sum_{j<n} f_j A^j: the Taylor series folded into degree < n by
 Cayley-Hamilton (Moler & Van Loan, SIAM Rev. 45, 2003), with A^n written in
 lower powers through Newton's identities on tr A^k.  A proved 2^-60 tail
-bound fixes the term count from the chunk's largest norm, < 0.7 at h <= 0.01.
+bound fixes the term count from the batch's largest norm, < 0.7 at h <= 0.01.
+
+``_Chunk.advance`` routes each factor.  Signs give 2^d increments per step
+size (8 on su2 and so3, 256 on su3), so a chunk of >= 2^d paths steps an
+identity engine of 2^d paths once on every pattern and gathers its rows by
+the number the sign bits form; all sign rows share one norm, so lookup and
+direct steps agree bit for bit.  Torus normals, the coarse levels of
+``weak_order_ratio`` and su4 or su5 chunks of < 2^d paths step directly.
 
 One runner, ``_walk``, steps the paths of every estimator: a single chunk
 for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
@@ -83,8 +90,8 @@ class SdeConfig:
     chunk: int = 20000
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise DomainError("horizon t must be positive")
+        if not 0 < self.t < math.inf:
+            raise DomainError("horizon t must be positive and finite")
         # the su<n> step exponential's norm bound of 1 rests on h <= 0.01
         if not 0 < self.step <= min(self.t, 0.01):
             raise DomainError("step must satisfy 0 < h <= min(t, 0.01)")
@@ -103,6 +110,8 @@ class SdeConfig:
         """The number of steps the walk takes: one on a torus."""
         if self.group.is_abelian:  # exp is a homomorphism: the horizon is one exact step
             return 1
+        if self.t / self.step > 2 * _COST_CAP:  # more than any one path may cost; also inf
+            raise ResourceLimitError(f"{self.t / self.step:.3g} steps exceed the cost cap")
         n = int(math.floor(self.t / self.step + 1e-9))
         return n if abs(n * self.step - self.t) < 1e-9 * max(self.t, 1.0) else n + 1
 
@@ -298,6 +307,13 @@ class _Su2Engine:
         ua.real, ua.imag = np.cos(s), -q[2]
         ubc = np.empty(len(s), dtype=complex)             # conj(ub)
         ubc.real, ubc.imag = -q[1], q[0]
+        self._times(ua, ubc)
+
+    def times(self, inc: _Su2Engine, idx: np.ndarray) -> None:
+        """Right-multiply each path by path idx of the increments inc."""
+        self._times(inc.a[idx], np.conj(inc.b)[idx])
+
+    def _times(self, ua: np.ndarray, ubc: np.ndarray) -> None:
         a, b = self.a, self.b
         self.a = a * ua - b * ubc
         self.b = a * np.conj(ubc) + b * np.conj(ua)
@@ -371,7 +387,13 @@ class _SunEngine:
     def step(self, z: np.ndarray, sqh: float) -> None:
         self.m = self.m @ _exp_minus_i(_hamiltonian(z, 0.5 * sqh))
 
+    def times(self, inc: _SunEngine, idx: np.ndarray) -> None:
+        """Right-multiply each path by path idx of the increments inc."""
+        self.m = self.m @ inc.m[idx]
+
     def renormalize(self) -> float:
+        if not np.isfinite(self.m).all():  # the SVD would fail: report a NaN drift
+            return math.nan
         # drift: max |sigma^2 - 1|, the spectral norm of m m^+ - I (>= any entry)
         u, sigma, vt = np.linalg.svd(self.m)
         self.m = u @ vt
@@ -432,18 +454,27 @@ class _Chunk:
         self.engines = _engines(g, count)
         self.algebra = _slices(e.factor.dim for e in self.engines)
         self.blocks = _slices(e.block for e in self.engines)
+        self.tables = {}                # (factor, sqh) -> the 2^d sign-pattern increments
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
         """One geodesic random-walk step with algebra increment sqh * z."""
-        for eng, s in zip(self.engines, self.algebra):
-            eng.step(z[:, s], sqh)
+        for k, (eng, s) in enumerate(zip(self.engines, self.algebra)):
+            zf, d = z[:, s], s.stop - s.start
+            if z.dtype != np.int8 or 2 ** d > len(z):
+                eng.step(zf, sqh)
+                continue
+            if (k, sqh) not in self.tables:
+                bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
+                self.tables[k, sqh] = type(eng)(eng.factor, 2 ** d)
+                self.tables[k, sqh].step((1 - 2 * bits).astype(np.int8), sqh)
+            eng.times(self.tables[k, sqh], (zf < 0) @ (1 << np.arange(d)))
 
     def renormalize(self) -> None:
         """Project back onto the group; raise if the drift measured before
-        the projection exceeds _DRIFT_TOL."""
+        the projection exceeds _DRIFT_TOL or is NaN."""
         for eng in self.engines:
             drift = eng.renormalize()
-            if drift > _DRIFT_TOL:
+            if not drift <= _DRIFT_TOL:
                 raise InstabilityError(
                     f"{self.group.name}: drift {drift:.2e} off the group "
                     f"manifold exceeds {_DRIFT_TOL:g} before renormalization"

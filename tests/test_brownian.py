@@ -60,6 +60,21 @@ def test_config_validation():
         SdeConfig(group=su2, t=1.0, step=1e-3, paths=10**9, seed=7)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_config_rejects_a_non_finite_horizon(t):
+    for name in ("su2", "su3", "torus1"):
+        with pytest.raises(DomainError, match="horizon"):
+            SdeConfig(group=make_group(name), t=t, step=1e-3, paths=10, seed=7)
+
+
+@pytest.mark.parametrize("t", [1e308, 1e300, 1e10])
+def test_a_step_count_past_any_float_hits_the_cost_cap(t):
+    # t / h overflows to inf at 1e308 / 1e-3; one path alone exceeds the cap
+    for name in ("su2", "su3"):
+        with pytest.raises(ResourceLimitError, match="cost cap"):
+            SdeConfig(group=make_group(name), t=t, step=1e-3, paths=1, seed=7)
+
+
 def test_cost_cap_counts_the_one_step_of_a_torus_walk():
     # a torus walk draws its whole horizon at once: 1000 paths at h = 1e-6
     # are one step each, while the same request on su2 walks 1e6 steps
@@ -207,6 +222,68 @@ def test_signs_are_keyed_by_seed_tag_and_chunk():
     word = int(brownian._rng(5, brownian._TAG_GROUP, 3).bit_generator.random_raw())
     bits = [(word >> (8 * (k // 8) + 7 - k % 8)) & 1 for k in range(64)]
     assert a.ravel()[:64].tolist() == [1 - 2 * b for b in bits]
+
+
+# ---------------------------------------------------------------------------
+# the two step routes: sign-pattern lookup and direct exponentials
+# ---------------------------------------------------------------------------
+
+def _route_pair(name, count, steps, seed):
+    """Two chunks walked on the same seeded signs: as int8 (the lookup route
+    where 2^d <= count) and cast to float64 (always the direct route)."""
+    g = make_group(name)
+    rng = brownian._rng(seed, brownian._TAG_GROUP, 0)
+    lookup, direct = brownian._Chunk(g, count), brownian._Chunk(g, count)
+    for k, h in enumerate(steps):
+        z = brownian._signs(rng, (count, g.dim))
+        lookup.advance(z, math.sqrt(h))
+        direct.advance(z.astype(np.float64), math.sqrt(h))
+        if (k + 1) % 4 == 0:
+            lookup.renormalize()
+            direct.renormalize()
+    return lookup, direct
+
+
+@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3"])
+def test_lookup_steps_equal_direct_steps_bit_for_bit(name):
+    # ten steps of 5e-3 and a partial last one of 3e-3
+    steps = [5e-3] * 10 + [3e-3]
+    lookup, direct = _route_pair(name, 1000, steps, seed=21)
+    # one table per factor and step size, none on the float route
+    assert len(lookup.tables) == 2 * len(lookup.engines)
+    assert direct.tables == {}
+    for a, b in zip(lookup.engines, direct.engines):
+        for field in ("a", "b", "m"):
+            if hasattr(a, field):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
+def _count_exponentials(monkeypatch):
+    calls = []
+    exp = brownian._exp_minus_i
+    monkeypatch.setattr(brownian, "_exp_minus_i", lambda a: calls.append(len(a)) or exp(a))
+    return calls
+
+
+def test_su3_lookup_exponentiates_once_per_step_size(monkeypatch):
+    calls = _count_exponentials(monkeypatch)
+    g = make_group("su3")
+    cfg = SdeConfig(group=g, t=0.053, step=5e-3, paths=1000, seed=4)
+    chunk = brownian._run_chunk(cfg, 0, cfg.paths)
+    # eleven steps, two step sizes: one exponential of the 256 patterns each
+    assert cfg.n_steps == 11
+    assert calls == [256, 256]
+    assert len(chunk.tables) == 2
+
+
+def test_su4_below_two_to_the_fifteen_paths_steps_directly(monkeypatch):
+    calls = _count_exponentials(monkeypatch)
+    g = make_group("su4")
+    cfg = SdeConfig(group=g, t=0.05, step=1e-2, paths=2000, seed=4)
+    chunk = brownian._run_chunk(cfg, 0, cfg.paths)
+    assert g.dim == 15 and 2 ** g.dim > cfg.paths
+    assert calls == [2000] * cfg.n_steps
+    assert chunk.tables == {}
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +764,22 @@ def test_drift_guard_catches_a_real_drift(name):
     mats = chunk.matrices()
     gram = mats @ np.conj(np.transpose(mats, (0, 2, 1)))
     assert np.max(np.abs(gram - np.eye(mats.shape[1]))) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["su2", "so3", "su3"])
+def test_drift_guard_catches_a_nan_state(name):
+    # NaN compares false with every tolerance, so the guard must not read
+    # drift > tol; the su<n> SVD must not fail first with numpy's error
+    g = make_group(name)
+    cfg = SdeConfig(group=g, t=0.05, step=1e-2, paths=50, seed=3)
+    chunk = brownian._run_chunk(cfg, 0, cfg.paths)
+    eng = chunk.engines[0]
+    if hasattr(eng, "m"):
+        eng.m[1, 0, 0] = np.nan
+    else:
+        eng.a[1] = np.nan
+    with pytest.raises(InstabilityError, match="drift nan"), np.errstate(invalid="ignore"):
+        chunk.renormalize()
 
 
 @pytest.mark.parametrize("name", ["torus1", "torus2"])

@@ -252,6 +252,21 @@ def test_resource_cap_is_runtime_failure(tmp_path, capsys):
     assert "wrapped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_non_finite_horizon_is_usage_error(tmp_path, capsys, t):
+    code, _ = _run(["wrap-bm-check", "--group", "su2", "--t", t], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "wrapkit: error: horizon t must be positive and finite\n"
+
+
+def test_step_count_past_any_float_is_runtime_failure(tmp_path, capsys):
+    # t / h overflows to inf: the cost cap refuses it in one line
+    code, _ = _run(["wrap-bm-check", "--group", "su2", "--t", "1e308"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wrapkit: error:") and "cost cap" in err and err.count("\n") == 1
+
+
 def test_failed_check_still_writes_report(tmp_path):
     code, text = _run(
         ["poisson-check", "--group", "torus1", "--threshold", "1e-30"],
