@@ -27,11 +27,10 @@ lower powers through Newton's identities on tr A^k.  A proved 2^-60 tail
 bound fixes the term count from the batch's largest norm, < 0.7 at h <= 0.01.
 
 ``_Chunk.advance`` routes each factor.  Signs give 2^d increments per step
-size (8 on su2 and so3, 256 on su3), so a chunk of >= 2^d paths steps an
-identity engine of 2^d paths once on every pattern and gathers its rows by
-the number the sign bits form; all sign rows share one norm, so lookup and
-direct steps agree bit for bit.  Torus normals, the coarse levels of
-``weak_order_ratio`` and su4 or su5 chunks of < 2^d paths step directly.
+size (8 on su2, 256 on su3).  Once a walk takes >= 2^d path-steps at one step
+size (and 2^d <= 2^15, so not on su5), an identity engine steps once on all 2^d
+patterns and paths gather its rows by their sign bits; sign rows share one
+norm, so both routes agree bit for bit.  Float rows step directly.
 
 One runner, ``_walk``, steps the paths of every estimator: a single chunk
 for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
@@ -48,6 +47,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,6 +68,7 @@ from .heat import heat_coefficients
 _COST_CAP = 5e8          # paths times steps
 _RENORM_EVERY = 100
 _DRIFT_TOL = 1e-6
+_TABLE_ROWS = 2**15      # su4's sign patterns, 8 MB; su5's 2^24 would take 7 GB
 
 _TAG_GROUP = 0
 _TAG_FLAT = 1
@@ -110,7 +111,7 @@ class SdeConfig:
         """The number of steps the walk takes: one on a torus."""
         if self.group.is_abelian:  # exp is a homomorphism: the horizon is one exact step
             return 1
-        if self.t / self.step > 2 * _COST_CAP:  # more than any one path may cost; also inf
+        if self.t / self.step > _COST_CAP:  # more than any one path may cost; also inf
             raise ResourceLimitError(f"{self.t / self.step:.3g} steps exceed the cost cap")
         n = int(math.floor(self.t / self.step + 1e-9))
         return n if abs(n * self.step - self.t) < 1e-9 * max(self.t, 1.0) else n + 1
@@ -449,18 +450,20 @@ class _Chunk:
     """count paths on g: the factor engines stepped from one increment.
     Its algebra and matrix-block slices are the one factor layout."""
 
-    def __init__(self, g: GroupSpec, count: int):
+    def __init__(self, g: GroupSpec, count: int, work: dict | None = None):
         self.group = g
         self.engines = _engines(g, count)
         self.algebra = _slices(e.factor.dim for e in self.engines)
         self.blocks = _slices(e.block for e in self.engines)
+        self.work = work or {}          # sqh -> the path-steps the walk takes with it
         self.tables = {}                # (factor, sqh) -> the 2^d sign-pattern increments
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
         """One geodesic random-walk step with algebra increment sqh * z."""
         for k, (eng, s) in enumerate(zip(self.engines, self.algebra)):
             zf, d = z[:, s], s.stop - s.start
-            if z.dtype != np.int8 or 2 ** d > len(z):
+            # a table costs 2^d exponentials, about what 2^d direct path-steps cost
+            if z.dtype != np.int8 or 2 ** d > min(self.work.get(sqh, 0), _TABLE_ROWS):
                 eng.step(zf, sqh)
                 continue
             if (k, sqh) not in self.tables:
@@ -524,7 +527,9 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
     +-2} at width 4), so every level sees the same walk (Giles' coupling,
     Oper. Res. 56, 2008).  Every chunk is renormalized and guarded every
     _RENORM_EVERY steps and after the last one."""
-    chunks = [_Chunk(g, count) for _ in range(levels + 1)]
+    chunks = [_Chunk(g, count, {math.sqrt(h / 2 ** level): count * n * 2 ** level
+                                for h, n in Counter(steps).items()})
+              for level in range(levels + 1)]
     shape = (2 ** levels, count, g.dim)
     for k, h in enumerate(steps):
         fine = rng.standard_normal(shape) if g.is_abelian else _signs(rng, shape)

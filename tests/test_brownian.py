@@ -229,11 +229,13 @@ def test_signs_are_keyed_by_seed_tag_and_chunk():
 # ---------------------------------------------------------------------------
 
 def _route_pair(name, count, steps, seed):
-    """Two chunks walked on the same seeded signs: as int8 (the lookup route
-    where 2^d <= count) and cast to float64 (always the direct route)."""
+    """Two chunks walked on the same seeded signs: as int8 with the work of a
+    long walk at every step size (the lookup route wherever 2^d <= 2^15) and
+    cast to float64 (always the direct route)."""
     g = make_group(name)
     rng = brownian._rng(seed, brownian._TAG_GROUP, 0)
-    lookup, direct = brownian._Chunk(g, count), brownian._Chunk(g, count)
+    work = {math.sqrt(h): brownian._TABLE_ROWS for h in steps}
+    lookup, direct = brownian._Chunk(g, count, work), brownian._Chunk(g, count, work)
     for k, h in enumerate(steps):
         z = brownian._signs(rng, (count, g.dim))
         lookup.advance(z, math.sqrt(h))
@@ -244,11 +246,11 @@ def _route_pair(name, count, steps, seed):
     return lookup, direct
 
 
-@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3"])
+@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3", "su4"])
 def test_lookup_steps_equal_direct_steps_bit_for_bit(name):
     # ten steps of 5e-3 and a partial last one of 3e-3
     steps = [5e-3] * 10 + [3e-3]
-    lookup, direct = _route_pair(name, 1000, steps, seed=21)
+    lookup, direct = _route_pair(name, 300, steps, seed=21)
     # one table per factor and step size, none on the float route
     assert len(lookup.tables) == 2 * len(lookup.engines)
     assert direct.tables == {}
@@ -276,14 +278,41 @@ def test_su3_lookup_exponentiates_once_per_step_size(monkeypatch):
     assert len(chunk.tables) == 2
 
 
-def test_su4_below_two_to_the_fifteen_paths_steps_directly(monkeypatch):
-    calls = _count_exponentials(monkeypatch)
-    g = make_group("su4")
-    cfg = SdeConfig(group=g, t=0.05, step=1e-2, paths=2000, seed=4)
+@pytest.mark.parametrize("name, paths, n_steps, calls", [
+    # 5 x 2000 path-steps < 2^15 on su4: direct; 20 x 2000 >= 2^15: one table
+    ("su4", 2000, 5, [2000] * 5),
+    ("su4", 2000, 20, [2 ** 15]),
+    # fewer su3 paths than patterns: one step is direct, four take a table
+    ("su3", 64, 1, [64]),
+    ("su3", 64, 4, [256]),
+])
+def test_lookup_needs_as_many_path_steps_as_patterns(monkeypatch, name, paths, n_steps, calls):
+    # a table costs 2^d exponentials, about what 2^d direct path-steps cost;
+    # h = 2^-7 makes every step the same size
+    seen = _count_exponentials(monkeypatch)
+    cfg = SdeConfig(group=make_group(name), t=n_steps / 128, step=1 / 128, paths=paths, seed=4)
     chunk = brownian._run_chunk(cfg, 0, cfg.paths)
-    assert g.dim == 15 and 2 ** g.dim > cfg.paths
-    assert calls == [2000] * cfg.n_steps
+    assert seen == calls
+    assert len(chunk.tables) == (calls == [2 ** cfg.group.dim])
+
+
+def test_su5_never_builds_a_table(monkeypatch):
+    # 2^24 patterns exceed _TABLE_ROWS however long the walk
+    calls = _count_exponentials(monkeypatch)
+    g = make_group("su5")
+    chunk = brownian._Chunk(g, 3, {0.1: 2 ** 30})
+    chunk.advance(brownian._signs(brownian._rng(4, 0, 0), (3, g.dim)), 0.1)
+    assert calls == [3]
     assert chunk.tables == {}
+
+
+def test_coupled_walk_looks_up_on_its_sign_level_only(monkeypatch):
+    # the coarse levels see float sums of signs and step directly; the fine
+    # level takes 4 substeps of h / 4 per step, 4 x 100 path-steps >= 2^8
+    calls = _count_exponentials(monkeypatch)
+    trio = brownian._walk(make_group("su3"), 100, brownian._rng(4, 2, 0), [0.01], levels=2)
+    assert [len(c.tables) for c in trio] == [0, 0, 1]
+    assert calls == [100, 100, 100, 256]
 
 
 # ---------------------------------------------------------------------------
