@@ -65,7 +65,6 @@ from .brownian import (
     mc_expect_central,
     real_character,
     sample_group_endpoint,
-    weak_order_ratio,
     wrap_bm_check,
 )
 

@@ -24,7 +24,7 @@ increment A from two real products with the stacked generators and takes
 exp(-i A) = sum_{j<n} f_j A^j: the Taylor series folded into degree < n by
 Cayley-Hamilton (Moler & Van Loan, SIAM Rev. 45, 2003), with A^n written in
 lower powers through Newton's identities on tr A^k.  A proved 2^-60 tail
-bound fixes the term count from the batch's largest norm, < 0.7 at h <= 0.01.
+bound fixes the term count from the batch's largest norm, < 0.35 at h <= 0.01.
 
 ``_Chunk.advance`` routes each factor.  Signs give 2^d increments per step
 size (8 on su2, 256 on su3).  Once a walk takes >= 2^d path-steps at one step
@@ -32,10 +32,9 @@ size (and 2^d <= 2^15, so not on su5), an identity engine steps once on all 2^d
 patterns and paths gather its rows by their sign bits; sign rows share one
 norm, so both routes agree bit for bit.  Float rows step directly.
 
-One runner, ``_walk``, steps the paths of every estimator: a single chunk
-for the endpoint laws, and three chunks coupled on steps h, h/2 and h/4
-through shared fine increments for ``weak_order_ratio``.  It alone advances
-chunks, and it renormalizes them and guards their drift off the group.
+One runner, ``_walk``, steps the paths of every estimator, one chunk at a
+time and one increment array per step.  It alone advances chunks, and it
+renormalizes them and guards their drift off the group.
 
 Determinism contract: every estimator splits its paths into fixed-size
 chunks; chunk k uses an independent Philox stream keyed by (seed, tag, k),
@@ -72,7 +71,6 @@ _TABLE_ROWS = 2**15      # su4's sign patterns, 8 MB; su5's 2^24 would take 7 GB
 
 _TAG_GROUP = 0
 _TAG_FLAT = 1
-_TAG_COUPLED = 2
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ def _hamiltonian(z: np.ndarray, scale: float) -> np.ndarray:
 
 def _exp_minus_i(a: np.ndarray) -> np.ndarray:
     """exp(-i A) = sum_{j<n} f_j A^j for a batch of Hermitian n x n matrices A
-    of largest Frobenius norm r <= 1 (else InstabilityError; steps keep r < 0.7):
+    of largest Frobenius norm r <= 1 (else InstabilityError; steps keep r < 0.35):
     the Taylor sum over the fewest terms N with r^N e^r / N! <= 2^-60 (its tail
     bound), folded by Cayley-Hamilton through Newton's identities on tr A^k."""
     n = a.shape[-1]
@@ -515,35 +513,21 @@ def _slices(sizes) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
-def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps,
-          levels: int = 0) -> list[_Chunk]:
-    """Step levels + 1 coupled chunks of count paths through the step sizes
-    ``steps``; chunk l takes 2^l substeps of h / 2^l per step h.
+def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps) -> _Chunk:
+    """Step one chunk of count paths through the step sizes ``steps``.
 
-    Each step draws 2^levels fine increment vectors at once: signs, or normals
-    on a torus (no catalog group mixes torus and non-abelian factors).  A
-    level-l substep is driven by the sum of 2^(levels - l) consecutive fine
-    draws over its square root (for signs {0, +-sqrt 2} at width 2, {0, +-1,
-    +-2} at width 4), so every level sees the same walk (Giles' coupling,
-    Oper. Res. 56, 2008).  Every chunk is renormalized and guarded every
-    _RENORM_EVERY steps and after the last one."""
-    chunks = [_Chunk(g, count, {math.sqrt(h / 2 ** level): count * n * 2 ** level
-                                for h, n in Counter(steps).items()})
-              for level in range(levels + 1)]
-    shape = (2 ** levels, count, g.dim)
+    Each step draws one (count, dim) increment array: signs, or normals on a
+    torus (no catalog group mixes torus and non-abelian factors).  The chunk
+    is renormalized and guarded every _RENORM_EVERY steps and after the last
+    one."""
+    chunk = _Chunk(g, count, {math.sqrt(h): count * n for h, n in Counter(steps).items()})
+    shape = (count, g.dim)
     for k, h in enumerate(steps):
-        fine = rng.standard_normal(shape) if g.is_abelian else _signs(rng, shape)
-        for level, chunk in enumerate(chunks):
-            width = 2 ** (levels - level)
-            zs = fine if width == 1 else (
-                fine.reshape(-1, width, count, g.dim).sum(axis=1) / math.sqrt(width))
-            sqh = math.sqrt(h / 2 ** level)
-            for z in zs:
-                chunk.advance(z, sqh)
+        z = rng.standard_normal(shape) if g.is_abelian else _signs(rng, shape)
+        chunk.advance(z, math.sqrt(h))
         if (k + 1) % _RENORM_EVERY == 0 or k == len(steps) - 1:
-            for chunk in chunks:
-                chunk.renormalize()
-    return chunks
+            chunk.renormalize()
+    return chunk
 
 
 def _signs(rng: np.random.Generator, shape) -> np.ndarray:
@@ -558,7 +542,7 @@ def _signs(rng: np.random.Generator, shape) -> np.ndarray:
 def _run_chunk(cfg: SdeConfig, index: int, count: int) -> _Chunk:
     n, h = cfg.n_steps, cfg.step
     steps = [h] * (n - 1) + [cfg.t - (n - 1) * h]
-    return _walk(cfg.group, count, _rng(cfg.seed, _TAG_GROUP, index), steps)[0]
+    return _walk(cfg.group, count, _rng(cfg.seed, _TAG_GROUP, index), steps)
 
 
 def _flat_draw(cfg: SdeConfig, index: int, count: int, dim: int) -> np.ndarray:
@@ -687,7 +671,7 @@ def wrap_bm_check(
 
 
 # ---------------------------------------------------------------------------
-# density comparison and weak-order diagnostics
+# density comparison
 # ---------------------------------------------------------------------------
 
 def empirical_density_table(
@@ -754,40 +738,3 @@ def empirical_density_table(
             f"increase paths or reduce bins"
         )
     return score, rows
-
-
-def weak_order_ratio(
-    g: GroupSpec,
-    f,
-    t: float,
-    h: float,
-    paths: int,
-    seed: int,
-    chunk: int = SdeConfig.chunk,
-    threads: int | None = None,
-):
-    """Coupled estimate of the weak-error decay of the geodesic random walk.
-
-    Simulates each path three times from shared fine sign increments with
-    steps h, h/2 and h/4, coarse steps taking normalised sums, and returns
-    (D1, D2, ratio, stderr1, stderr2), D1 = E[f_h - f_{h/2}], D2 =
-    E[f_{h/2} - f_{h/4}].  First-order weak convergence makes the ratio
-    approach 2; the shared draws cancel the O(1) noise that would otherwise
-    swamp the bias difference.  A torus walk is exact, so tori are refused.
-    """
-    if g.is_abelian:
-        raise DomainError(f"{g.name}: the walk is exact on a torus, so it has no weak order")
-    n_h = int(round(t / h))
-    if abs(n_h * h - t) > 1e-9:
-        raise DomainError("t/h must be an integer for the coupled comparison")
-    cfg = SdeConfig(group=g, t=t, step=h, paths=paths, seed=seed, chunk=chunk)
-
-    def worker(i, c):
-        trio = _walk(g, c, _rng(seed, _TAG_COUPLED, i), [h] * n_h, levels=2)
-        vals = [np.asarray(f(chunk.alcove_coords()), dtype=float) for chunk in trio]
-        return [_moments(vals[0] - vals[1]), _moments(vals[1] - vals[2])]
-
-    parts = _map_chunks(cfg, worker, threads)
-    e1, e2 = (_reduce_moments([p[k] for p in parts], seed) for k in (0, 1))
-    ratio = e1.mean / e2.mean if e2.mean != 0 else math.inf
-    return e1.mean, e2.mean, ratio, e1.stderr, e2.stderr

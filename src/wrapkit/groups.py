@@ -611,7 +611,7 @@ def as_real_checked(values: np.ndarray, context: str, scale: float = 1.0):
     values = np.asarray(values)
     floor = np.maximum(np.maximum(1.0, float(scale)), np.abs(values.real))
     worst = np.max(np.abs(values.imag) / floor) if values.size else 0.0
-    if worst > 1e-10:
+    if not worst <= 1e-10:  # NaN fails too
         raise InstabilityError(
             f"{context}: imaginary part {worst:.3e} above the 1e-10 budget"
         )
@@ -814,7 +814,7 @@ def dual_index(g: GroupSpec, xi) -> np.ndarray:
     raw_idx = np.asarray(xi, dtype=float) @ g.gamma_basis.T / TWO_PI
     idx = np.rint(raw_idx)
     worst = float(np.max(np.abs(raw_idx - idx), initial=0.0))
-    if worst > 1e-6:
+    if not worst <= 1e-6:  # NaN fails too
         raise InstabilityError(
             f"{g.name}: dual index {worst:.1e} off the integers; not in the weight lattice"
         )

@@ -52,6 +52,12 @@ def flat_heat_kernel(x_norm_sq, t: float, n: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _check_positive_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:  # NaN fails too
+            raise DomainError(f"{name} must be positive and finite")
+
+
 @lru_cache(maxsize=256)
 def _heat_coeff_cached(name: str, t: float, shifted: bool, tol: float):
     g = make_group(name)
@@ -76,8 +82,7 @@ def heat_coefficients(
     g: GroupSpec, t: float, shifted: bool = True, tol: float = 1e-10
 ) -> CentralFunction:
     """Character expansion of the heat kernel at time t (cached)."""
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_positive_finite(t=t, tol=tol)
     return _heat_coeff_cached(g.name, float(t), bool(shifted), float(tol))
 
 
@@ -96,6 +101,7 @@ def spectral_heat_kernel(g: GroupSpec, H, t: float, shifted: bool = True,
 def wrapped_heat_kernel(g: GroupSpec, H, t: float, tol: float = 1e-10):
     """Shifted heat kernel by the geodesic route: the group volume times the
     lattice sum of the dim-G Gaussian over H + Gamma divided by j."""
+    _check_positive_finite(t=t, tol=tol)
     nu = RadialFunction.gaussian(g.dim, t)
     pts, single = _as_points(g, H)
     vals = np.array([wrap_lattice(g, nu, p, tol) for p in pts])
@@ -144,8 +150,7 @@ def semigroup_gap(
     points when both factors are re-extracted by quadrature before
     convolving, which exercises the full analysis loop.
     """
-    if t <= 0 or s <= 0:
-        raise DomainError("t and s must be positive")
+    _check_positive_finite(t=t, s=s, tol=tol)
     K = auto_cutoff(g, RadialFunction.gaussian(g.dim, t + s), tol)
     direct = wrap_spectral(g, RadialFunction.gaussian(g.dim, t + s), K)
     f_t = wrap_spectral(g, RadialFunction.gaussian(g.dim, t), K)

@@ -28,7 +28,6 @@ from wrapkit import (
     mc_expect_central,
     real_character,
     sample_group_endpoint,
-    weak_order_ratio,
     wrap_bm_check,
 )
 
@@ -147,21 +146,20 @@ def test_flat_endpoints_reproducible_and_independent_of_group_stream():
 # the walk's increments
 # ---------------------------------------------------------------------------
 
-def _walk_increments(monkeypatch, g, count, steps, levels, key):
-    """(increments, sqh per advance) that _walk hands each of its coupled
-    chunks, in step order (the engines are left at the identity)."""
-    seen = {}
+def _walk_increments(monkeypatch, g, count, steps, key):
+    """(increments, sqh per advance) that _walk hands its chunk, in step
+    order (the engines are left at the identity)."""
+    seen = []
     monkeypatch.setattr(brownian._Chunk, "advance",
-                        lambda self, z, sqh: seen.setdefault(id(self), []).append((z.copy(), sqh)))
-    chunks = brownian._walk(g, count, brownian._rng(*key), steps, levels=levels)
-    return [(np.array([z for z, _ in seen[id(chunk)]]),
-             np.array([sqh for _, sqh in seen[id(chunk)]])) for chunk in chunks]
+                        lambda self, z, sqh: seen.append((z.copy(), sqh)))
+    brownian._walk(g, count, brownian._rng(*key), steps)
+    return np.array([z for z, _ in seen]), np.array([sqh for _, sqh in seen])
 
 
 def test_level_zero_increments_are_balanced_signs(monkeypatch):
     g = make_group("su2")
     count, n_steps = 4000, 5
-    (z, _), = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, 0, (11, 0, 0))
+    z, _ = _walk_increments(monkeypatch, g, count, [0.01] * n_steps, (11, 0, 0))
     assert z.shape == (n_steps, count, g.dim)
     assert set(np.unique(z).tolist()) == {-1, 1}
     n = n_steps * count
@@ -170,26 +168,6 @@ def test_level_zero_increments_are_balanced_signs(monkeypatch):
     rng = brownian._rng(11, 0, 0)
     assert np.array_equal(z, np.concatenate(
         [brownian._signs(rng, (1, count, g.dim)) for _ in range(n_steps)]))
-
-
-@pytest.mark.parametrize("levels, values", [
-    (1, [-math.sqrt(2.0), 0.0, math.sqrt(2.0)]),
-    (2, [-2.0, -1.0, 0.0, 1.0, 2.0]),
-])
-def test_coarse_increments_are_normalised_sums_of_fine_signs(monkeypatch, levels, values):
-    g = make_group("su2xsu2")
-    count, n_steps = 500, 3
-    incs = [z for z, _ in _walk_increments(monkeypatch, g, count, [0.01] * n_steps, levels,
-                                           (11, brownian._TAG_COUPLED, 4))]
-    fine = incs[-1]
-    assert fine.shape == (n_steps * 2 ** levels, count, g.dim)
-    assert set(np.unique(fine).tolist()) == {-1, 1}
-    for level, z in enumerate(incs[:-1]):
-        width = 2 ** (levels - level)
-        assert z.shape == (n_steps * 2 ** level, count, g.dim)
-        assert np.array_equal(
-            z, fine.reshape(-1, width, count, g.dim).sum(axis=1) / math.sqrt(width))
-    assert_allclose(np.unique(incs[0]), values, rtol=0, atol=1e-15)
 
 
 def test_torus_walk_takes_its_horizon_in_one_exact_draw(monkeypatch):
@@ -215,7 +193,7 @@ def test_signs_are_keyed_by_seed_tag_and_chunk():
     assert a.shape == shape
     assert np.array_equal(a, brownian._signs(brownian._rng(5, brownian._TAG_GROUP, 3), shape))
     for key in ((5, brownian._TAG_GROUP, 4), (6, brownian._TAG_GROUP, 3),
-                (5, brownian._TAG_COUPLED, 3)):
+                (5, brownian._TAG_FLAT, 3)):
         assert not np.array_equal(a, brownian._signs(brownian._rng(*key), shape))
     # the bits of the first raw word, little-endian bytes, each high bit
     # first: integer arithmetic, so the same on every host
@@ -304,15 +282,6 @@ def test_su5_never_builds_a_table(monkeypatch):
     chunk.advance(brownian._signs(brownian._rng(4, 0, 0), (3, g.dim)), 0.1)
     assert calls == [3]
     assert chunk.tables == {}
-
-
-def test_coupled_walk_looks_up_on_its_sign_level_only(monkeypatch):
-    # the coarse levels see float sums of signs and step directly; the fine
-    # level takes 4 substeps of h / 4 per step, 4 x 100 path-steps >= 2^8
-    calls = _count_exponentials(monkeypatch)
-    trio = brownian._walk(make_group("su3"), 100, brownian._rng(4, 2, 0), [0.01], levels=2)
-    assert [len(c.tables) for c in trio] == [0, 0, 1]
-    assert calls == [100, 100, 100, 256]
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +488,10 @@ def _eigh_exp(a):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_step_exponential_matches_eigh(n):
-    # The engines step at sqrt h <= 0.1 with increment entries |z_a| <= 2
-    # (the coarsest coupled level of weak_order_ratio), so the worst
-    # reachable Hamiltonian is _hamiltonian(z, 0.05) with z in {+-2}^d:
-    # Frobenius norm 0.1 sqrt(2d), 0.40 / 0.55 / 0.69 on su3 / su4 / su5.
+    # The engines step at sqrt h <= 0.1 with sign increments, Frobenius
+    # norm sqrt(h d / 2) <= 0.35.  The second case reaches further, to
+    # _hamiltonian(z, 0.05) with z in {+-2}^d: Frobenius norm 0.1 sqrt(2d),
+    # 0.40 / 0.55 / 0.69 on su3 / su4 / su5, inside the r <= 1 contract.
     # The Taylor sum takes no scaling, so a norm above 1 (here the
     # Hamiltonian of a unit step, sqrt h = 1) raises instead.
     d = n * n - 1
@@ -741,23 +710,8 @@ def test_group_argument_must_match_the_config():
 
 
 # ---------------------------------------------------------------------------
-# weak order of the integrator
+# the drift guard
 # ---------------------------------------------------------------------------
-
-def test_weak_error_halves_with_the_step():
-    # heavy (about 15 s): the bias difference is ~7e-4 and the coupled noise
-    # needs 1e6 paths to resolve it; the parameters were chosen so that the
-    # exact ratio of the Gaussian-increment scheme is 2.002 (the sign walk's
-    # seeded estimate reads 1.993, d1 at 8 standard errors) and the estimate
-    # is pinned by the seed
-    su2 = make_group("su2")
-    d1, d2, ratio, se1, se2 = weak_order_ratio(
-        su2, real_character(su2, (4,)), t=0.3, h=0.01, paths=1_000_000,
-        seed=4, threads=4)
-    assert d1 < 0 and d2 < 0
-    assert abs(d1) > 5 * se1
-    assert 1.5 <= ratio <= 2.5
-
 
 def test_drift_guard_covers_every_stepping_loop(monkeypatch):
     # a negative tolerance makes every drift, even an exact zero, too large
@@ -767,8 +721,6 @@ def test_drift_guard_covers_every_stepping_loop(monkeypatch):
     cfg = SdeConfig(group=su2, t=0.05, step=1e-2, paths=50, seed=1)
     with pytest.raises(InstabilityError, match="drift"):
         mc_expect_central(f, cfg)
-    with pytest.raises(InstabilityError, match="drift"):
-        weak_order_ratio(su2, f, t=0.05, h=0.01, paths=50, seed=1)
 
 
 def _scale_state(eng, factor):
@@ -809,20 +761,3 @@ def test_drift_guard_catches_a_nan_state(name):
         eng.a[1] = np.nan
     with pytest.raises(InstabilityError, match="drift nan"), np.errstate(invalid="ignore"):
         chunk.renormalize()
-
-
-@pytest.mark.parametrize("name", ["torus1", "torus2"])
-def test_weak_order_ratio_refuses_a_torus(name):
-    # the torus walk is exact, so D1 and D2 would be rounding (about 1e-17)
-    # and their ratio noise
-    g = make_group(name)
-    with pytest.raises(DomainError, match="torus"):
-        weak_order_ratio(g, real_character(g, (1,) * g.rank), t=0.3, h=0.01,
-                         paths=200, seed=4)
-
-
-def test_weak_order_ratio_needs_integer_steps():
-    su2 = make_group("su2")
-    with pytest.raises(DomainError):
-        weak_order_ratio(su2, real_character(su2, (1,)), t=0.35, h=0.01 * 1.1,
-                         paths=100, seed=1)

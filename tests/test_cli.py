@@ -9,7 +9,6 @@ when one is on ``PATH``).  Neither needs the package to be installed.
 """
 
 import csv
-import inspect
 import json
 import shutil
 import subprocess
@@ -20,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import wrapkit
-from wrapkit import SdeConfig, cli, weak_order_ratio
+from wrapkit import SdeConfig, cli
 
 
 def _run(argv, tmp_path, name="out.txt"):
@@ -259,6 +258,13 @@ def test_non_finite_horizon_is_usage_error(tmp_path, capsys, t):
     assert capsys.readouterr().err == "wrapkit: error: horizon t must be positive and finite\n"
 
 
+@pytest.mark.parametrize("flag, value", [("t", "inf"), ("t", "nan"), ("tol", "nan")])
+def test_non_finite_kernel_input_is_usage_error(tmp_path, capsys, flag, value):
+    code, _ = _run(["kernel", "--group", "su2", f"--{flag}", value], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"wrapkit: error: {flag} must be positive and finite\n"
+
+
 def test_step_count_past_any_float_is_runtime_failure(tmp_path, capsys):
     # t / h overflows to inf: the cost cap refuses it in one line
     code, _ = _run(["wrap-bm-check", "--group", "su2", "--t", "1e308"], tmp_path)
@@ -350,7 +356,6 @@ def test_cli_chunk_defaults_are_the_config_default():
     for command in ("simulate", "wrap-bm-check"):
         ns = cli._parser().parse_args([command, "--group", "su2"])
         assert ns.chunk == SdeConfig.chunk
-    assert inspect.signature(weak_order_ratio).parameters["chunk"].default == SdeConfig.chunk
 
 
 # ---------------------------------------------------------------------------

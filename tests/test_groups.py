@@ -538,6 +538,12 @@ def test_dual_index_round_trip():
         dual_index(su3, mu + 0.01)
 
 
+def test_dual_index_refuses_a_nan():
+    # NaN compares false with every tolerance; it used to come back as -2^63
+    with pytest.raises(InstabilityError, match="dual index nan"):
+        dual_index(make_group("su2"), [math.nan])
+
+
 def test_cell_grid_shape_and_range():
     su3 = make_group("su3")
     grid = cell_grid(su3, 5)
@@ -593,3 +599,9 @@ def test_as_real_checked_guards_imaginary_mass():
     assert out.dtype.kind == "f"
     with pytest.raises(InstabilityError, match="imaginary"):
         as_real_checked(np.array([1.0 + 1e-3j]), "test")
+
+
+def test_as_real_checked_refuses_a_nan_imaginary_part():
+    # NaN compares false with every tolerance; it used to pass as [nan]
+    with pytest.raises(InstabilityError, match="imaginary part nan"):
+        as_real_checked(np.array([1.0 + 1j * math.nan]), "test")

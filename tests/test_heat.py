@@ -171,6 +171,20 @@ def test_semigroup_property():
         semigroup_gap(su2, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernel_entry_points_refuse_a_non_finite_time_or_tolerance(bad):
+    su2 = make_group("su2")
+    H = np.array([1.0])
+    calls = [lambda: heat_coefficients(su2, bad), lambda: heat_coefficients(su2, 0.5, tol=bad),
+             lambda: spectral_heat_kernel(su2, H, bad), lambda: wrapped_heat_kernel(su2, H, bad),
+             lambda: wrapped_heat_kernel(su2, H, 0.5, tol=bad), lambda: auto_kernel(su2, H, bad),
+             lambda: semigroup_gap(su2, bad, 0.5), lambda: semigroup_gap(su2, 0.5, bad),
+             lambda: semigroup_gap(su2, 0.5, 0.5, tol=bad)]
+    for call in calls:
+        with pytest.raises(DomainError, match="positive and finite"):
+            call()
+
+
 def test_preferred_route():
     su2 = make_group("su2")
     assert preferred_route(su2, np.array([1.0]), 0.1) == "wrapped"

@@ -7,8 +7,8 @@ group-side sign draw ``_signs`` only in ``_walk``.  ``_TorusEngine`` is
 named only in ``_ENGINES``, so no estimator grows its own torus branch.
 That a torus walk is one step is stated once, in ``SdeConfig.n_steps``:
 ``math.fsum`` appears nowhere, and ``is_abelian`` is read only there, in
-``_walk`` (normals or signs), in ``weak_order_ratio`` (the refusal) and in
-``conjugacy_coordinate`` (the membership checks).  The step exponential
+``_walk`` (normals or signs) and in ``conjugacy_coordinate`` (the
+membership checks).  The step exponential
 ``_exp_minus_i`` is named only in ``_SunEngine.step``, so the su<n> step
 is the one place an increment is exponentiated.
 
@@ -102,7 +102,7 @@ def test_only_the_step_count_states_the_one_torus_step():
     tree = _tree()
     assert _mentions(tree, "fsum") == []
     assert ({func for func, _ in _mentions(tree, "is_abelian")}
-            == {"n_steps", "_walk", "weak_order_ratio", "conjugacy_coordinate"})
+            == {"n_steps", "_walk", "conjugacy_coordinate"})
 
 
 def test_the_one_step_guard_sees_stray_sums_and_abelian_tests():

@@ -355,9 +355,9 @@ def test_sun_fold_lands_in_the_closed_alcove_on_the_input_class(name, kind, seed
        extreme=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_sun_step_exponential_is_exact_and_unitary_on_reachable_increments(
         name, h, levels_level, extreme, seed):
-    # the walk's increments: a level-l substep of a walk with `levels`
-    # coupled levels sums 2^(levels - l) signs over its square root, so
-    # z is in {+-1}, {0, +-sqrt 2} or {0, +-1, +-2}, at sqh = sqrt(h / 2^l);
+    # the walk's sign increments, and normalised sums of 2^(levels - l)
+    # signs, z in {0, +-sqrt 2} or {0, +-1, +-2} at sqh = sqrt(h / 2^l),
+    # which reach further inside the r <= 1 contract;
     # `extreme` puts every entry at the largest magnitude of its form
     levels, level = levels_level
     n = make_group(name).rank + 1
