@@ -29,8 +29,10 @@ bound fixes the term count from the batch's largest norm, < 0.35 at h <= 0.01.
 ``_Chunk.advance`` routes each factor.  Signs give 2^d increments per step
 size (8 on su2, 256 on su3).  Once a walk takes >= 2^d path-steps at one step
 size (and 2^d <= 2^15, so not on su5), an identity engine steps once on all 2^d
-patterns and paths gather its rows by their sign bits; sign rows share one
-norm, so both routes agree bit for bit.  Float rows step directly.
+patterns and paths gather its rows by their sign bits, numbered for every
+factor by one float32 product per step with its bit weights 2^0 .. 2^(d-1):
+sums of distinct 2^j < 2^15, exact in float32 (integers to 2^24).  Sign rows
+share one norm, so both routes agree bit for bit.  Float rows step directly.
 
 One runner, ``_walk``, steps the paths of every estimator, one chunk at a
 time and one increment array per step.  It alone advances chunks, and it
@@ -455,9 +457,13 @@ class _Chunk:
         self.blocks = _slices(e.block for e in self.engines)
         self.work = work or {}          # sqh -> the path-steps the walk takes with it
         self.tables = {}                # (factor, sqh) -> the 2^d sign-pattern increments
+        self.weights = np.zeros((g.dim, len(self.engines)), dtype=np.float32)
+        for k, s in enumerate(self.algebra):    # factor k's sign bits weigh 2^0 .. 2^(d_k - 1)
+            self.weights[s, k] = 2.0 ** np.arange(s.stop - s.start)
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
         """One geodesic random-walk step with algebra increment sqh * z."""
+        index = None                    # every factor's sign-pattern row numbers
         for k, (eng, s) in enumerate(zip(self.engines, self.algebra)):
             zf, d = z[:, s], s.stop - s.start
             # a table costs 2^d exponentials, about what 2^d direct path-steps cost
@@ -468,7 +474,9 @@ class _Chunk:
                 bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
                 self.tables[k, sqh] = type(eng)(eng.factor, 2 ** d)
                 self.tables[k, sqh].step((1 - 2 * bits).astype(np.int8), sqh)
-            eng.times(self.tables[k, sqh], (zf < 0) @ (1 << np.arange(d)))
+            if index is None:           # sums of distinct 2^j < 2^15: exact in float32
+                index = ((z < 0).astype(np.float32) @ self.weights).astype(np.intp)
+            eng.times(self.tables[k, sqh], index[:, k])
 
     def renormalize(self) -> None:
         """Project back onto the group; raise if the drift measured before
@@ -583,7 +591,7 @@ def conjugacy_coordinate(g: GroupSpec, x: np.ndarray) -> np.ndarray:
         if not e.factor.is_abelian:  # imaginary parts count on a real engine
             gaps += [np.linalg.det(x[:, s, s]) - 1.0,
                      x[:, s, s].imag * np.isrealobj(e.matrices())]
-    if max(float(np.max(np.abs(v), initial=0.0)) for v in gaps + [x[:, off]]) > 1e-6:
+    if not all(np.max(np.abs(v), initial=0.0) <= 1e-6 for v in gaps + [x[:, off]]):
         raise DomainError(f"{g.name}: input is not on the group to 1e-6")
     out = chunk.fold(x)
     return out[0] if single else out

@@ -41,8 +41,7 @@ def flat_heat_kernel(x_norm_sq, t: float, n: int):
 
     Accepts a scalar or an array of squared norms; returns matching shape.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
+    _check_positive_finite(t=t)
     if n < 1:
         raise DomainError("n must be a positive integer")
     q = np.asarray(x_norm_sq, dtype=float)

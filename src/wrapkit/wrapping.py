@@ -107,8 +107,8 @@ class RadialFunction:
     @classmethod
     def gaussian(cls, dim: int, t: float) -> "RadialFunction":
         """The heat-kernel Gaussian (2 pi t)^{-dim/2} e^{-||x||^2/2t}."""
-        if t <= 0:
-            raise DomainError("variance parameter t must be positive")
+        if not 0 < t < math.inf:  # NaN fails too
+            raise DomainError("variance parameter t must be positive and finite")
         return cls.mixture(dim, [(1.0, float(t))], label=f"gauss(t={t:g})")
 
     @classmethod
@@ -117,9 +117,9 @@ class RadialFunction:
         pairs = [(float(w), float(s)) for (w, s) in pairs]
         if not pairs:
             raise DomainError("mixture needs at least one (weight, variance) pair")
-        for _, s in pairs:
-            if s <= 0:
-                raise DomainError("mixture variances must be positive")
+        for w, s in pairs:
+            if not (math.isfinite(w) and 0 < s < math.inf):
+                raise DomainError("mixture weights must be finite, variances positive and finite")
         d = int(dim)
 
         def profile(r2):
@@ -436,7 +436,7 @@ def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> flo
     terms = nu.profile(np.sum(pts * pts, axis=1)) / jv_
     ring = np.linalg.norm(pts, axis=1) > radius - _ring_width(g)
     ring_mass = float(np.sum(np.abs(terms[ring]))) * g.volume
-    if ring_mass > tol / 5.0 and len(terms) > len(terms[ring]):
+    if not ring_mass <= tol / 5.0 and len(terms) > len(terms[ring]):  # NaN fails too
         raise InstabilityError(
             f"{g.name}: lattice truncation ring holds {ring_mass:.3e} > tol/5; "
             f"decay bound too optimistic"

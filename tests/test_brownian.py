@@ -238,6 +238,26 @@ def test_lookup_steps_equal_direct_steps_bit_for_bit(name):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
+@pytest.mark.parametrize("name", ["su4", "su2xsu2"])
+def test_every_sign_pattern_gathers_its_own_row(name):
+    # one identity path per pattern r = 0 .. 2^d - 1 (all-negative 2^15 - 1
+    # on su4, the largest row number): the float32 product must number each
+    # exactly, so every path equals the direct step on its own signs; on
+    # su2xsu2 the second factor reads the high three bits, column 1 of weights
+    g = make_group(name)
+    count, sqh = 2 ** g.dim, math.sqrt(5e-3)
+    z = (1 - 2 * (np.arange(count)[:, None] >> np.arange(g.dim) & 1)).astype(np.int8)
+    lookup = brownian._Chunk(g, count, {sqh: brownian._TABLE_ROWS})
+    direct = brownian._Chunk(g, count, {sqh: brownian._TABLE_ROWS})
+    lookup.advance(z, sqh)
+    direct.advance(z.astype(np.float64), sqh)
+    assert len(lookup.tables) == len(lookup.engines) and direct.tables == {}
+    for a, b in zip(lookup.engines, direct.engines):
+        for field in ("a", "b", "m"):
+            if hasattr(a, field):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+
 def _count_exponentials(monkeypatch):
     calls = []
     exp = brownian._exp_minus_i
@@ -564,6 +584,16 @@ def test_conjugacy_coordinate_identity_and_rejection():
         "so3-complex"])
 def test_conjugacy_coordinate_rejects_unitary_input_off_the_group(name, x):
     assert np.allclose(x @ np.conj(x.T), np.eye(len(x)))
+    with pytest.raises(DomainError, match="not on the group"):
+        conjugacy_coordinate(make_group(name), x)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+@pytest.mark.parametrize("name", ["su2", "su3"])
+def test_conjugacy_coordinate_rejects_a_nan_entry(name):
+    # the on-group check fails closed: a NaN compares false against 1e-6
+    x = np.eye(make_group(name).rank + 1, dtype=complex)
+    x[0, 0] = np.nan
     with pytest.raises(DomainError, match="not on the group"):
         conjugacy_coordinate(make_group(name), x)
 

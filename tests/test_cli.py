@@ -265,6 +265,22 @@ def test_non_finite_kernel_input_is_usage_error(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err == f"wrapkit: error: {flag} must be positive and finite\n"
 
 
+@pytest.mark.parametrize("argv", [["wraplap-check", "--t", "inf"], ["wraplap-check", "--t", "nan"],
+                                  ["wrap", "--mixture", "1:inf"], ["wrap", "--mixture", "nan:0.5"]])
+def test_non_finite_variance_or_weight_is_usage_error(tmp_path, capsys, argv):
+    code, _ = _run([argv[0], "--group", "su2", *argv[1:]], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("wrapkit: error:") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_bend_at_a_non_finite_time_is_usage_error(tmp_path, capsys, t):
+    code, _ = _run(["bend", "--group", "su2", "--t", t], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "wrapkit: error: t must be positive and finite\n"
+
+
 def test_step_count_past_any_float_is_runtime_failure(tmp_path, capsys):
     # t / h overflows to inf: the cost cap refuses it in one line
     code, _ = _run(["wrap-bm-check", "--group", "su2", "--t", "1e308"], tmp_path)

@@ -52,6 +52,12 @@ def test_flat_heat_kernel_formula():
         flat_heat_kernel(-1.0, 0.5, 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_flat_heat_kernel_refuses_a_non_finite_time(bad):
+    with pytest.raises(DomainError, match="t must be positive and finite"):
+        flat_heat_kernel(1.0, bad, 3)
+
+
 # ---------------------------------------------------------------------------
 # group kernels
 # ---------------------------------------------------------------------------

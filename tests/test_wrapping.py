@@ -59,6 +59,15 @@ def test_gaussian_profile_and_transform():
         RadialFunction.mixture(2, [(1.0, -0.3)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gaussians_refuse_a_non_finite_variance_or_weight(bad):
+    with pytest.raises(DomainError, match="positive and finite"):
+        RadialFunction.gaussian(3, bad)
+    for pairs in ([(1.0, bad)], [(bad, 0.5)], [(0.6, 0.5), (0.4, bad)]):
+        with pytest.raises(DomainError, match="weights must be finite"):
+            RadialFunction.mixture(3, pairs)
+
+
 def test_fourier_pair_cross_check_rejects_mismatch():
     # evaluation says variance 1, transform claims variance 2: the built-in
     # Hankel quadrature must catch the lie at construction
@@ -309,6 +318,14 @@ def test_wrap_lattice_rejects_lying_decay_bound():
                           decay=((TWO_PI * 30.0) ** (-d / 2), 2.0))
     with pytest.raises(InstabilityError, match="ring"):
         wrap_lattice(make_group("su2"), liar, [3.0])
+
+
+def test_wrap_lattice_rejects_a_nan_ring():
+    # a NaN ring mass compares false against tol/5: the check fails closed
+    nan = RadialFunction(dim=3, profile=lambda r2: np.full_like(np.asarray(r2, float), np.nan),
+                         decay=(1.0, 1.0))
+    with pytest.raises(InstabilityError, match="ring"):
+        wrap_lattice(make_group("su2"), nan, [1.0])
 
 
 def test_wrap_lattice_input_validation():
