@@ -13,7 +13,6 @@ import numpy as np
 from wrapkit import (
     alcove_points,
     bend_complex,
-    complexify,
     flat_heat_kernel,
     j_compact,
     j_complex,
@@ -21,9 +20,8 @@ from wrapkit import (
 )
 
 g = make_group("su2")
-gc = complexify(g)
-print(f"{g.name} (dim {g.dim}) complexifies to {gc.name} "
-      f"(real dim {gc.real_dim})")
+print(f"{g.name} (dim {g.dim}) complexifies to {g.name}_c "
+      f"(real dim {2 * g.dim})")
 
 # ---------------------------------------------------------------------------
 # On the compact side j oscillates and vanishes on the walls; its sinh
@@ -33,7 +31,7 @@ print(f"{g.name} (dim {g.dim}) complexifies to {gc.name} "
 H = np.linspace(0.4, 2.4, 6)[:, None]
 print(f"\n{'H':>5} {'j compact':>12} {'j complex':>12}")
 for h, jc, jx in zip(H[:, 0], np.atleast_1d(j_compact(g, H)),
-                     np.atleast_1d(j_complex(gc, H))):
+                     np.atleast_1d(j_complex(g, H))):
     print(f"{h:>5.2f} {jc:>12.6f} {jx:>12.6f}")
 
 # ---------------------------------------------------------------------------
@@ -41,9 +39,9 @@ for h, jc, jx in zip(H[:, 0], np.atleast_1d(j_compact(g, H)),
 # ---------------------------------------------------------------------------
 
 for t in (0.1, 1.0):
-    v = float(np.asarray(bend_complex(gc, np.zeros(g.rank), t)))
+    v = float(np.asarray(bend_complex(g, np.zeros(g.rank), t)))
     print(f"kernel at origin, t={t}: {v:.9g} "
-          f"= (2 pi t)^(-{gc.real_dim}/2)")
+          f"= (2 pi t)^(-{2 * g.dim}/2)")
 
 # ---------------------------------------------------------------------------
 # As t -> 0 the kernel looks like the flat Gaussian divided by j: the
@@ -52,15 +50,14 @@ for t in (0.1, 1.0):
 
 t = 1e-4
 pts = alcove_points(g, 5) * 0.06
-ratio = np.asarray(bend_complex(gc, pts, t)) / flat_heat_kernel(
-    np.sum(pts * pts, axis=1), t, gc.real_dim
+ratio = np.asarray(bend_complex(g, pts, t)) / flat_heat_kernel(
+    np.sum(pts * pts, axis=1), t, 2 * g.dim
 )
-gap = np.abs(ratio - 1.0 / np.asarray(j_complex(gc, pts)))
+gap = np.abs(ratio - 1.0 / np.asarray(j_complex(g, pts)))
 print(f"\nsmall-time ratio vs 1/j at t={t}: max gap {float(gap.max()):.2e}")
 
 # the same closed form is available for every catalog group
 for name in ("torus2", "su3"):
     h = make_group(name)
-    hc = complexify(h)
-    v = float(np.asarray(bend_complex(hc, np.zeros(h.rank), 0.5)))
-    print(f"{hc.name:10} origin value at t=0.5: {v:.6g}")
+    v = float(np.asarray(bend_complex(h, np.zeros(h.rank), 0.5)))
+    print(f"{name + '_c':10} origin value at t=0.5: {v:.6g}")

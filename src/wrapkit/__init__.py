@@ -42,10 +42,8 @@ from .wrapping import (
     wrapping_formula_check,
 )
 from .heat import (
-    ComplexGroup,
     auto_kernel,
     bend_complex,
-    complexify,
     flat_heat_kernel,
     heat_coefficients,
     j_complex,

@@ -109,6 +109,8 @@ class SdeConfig:
     @property
     def n_steps(self) -> int:
         """The number of steps the walk takes: one on a torus."""
+        if self.t > 0.01 * _COST_CAP:  # past any walk at h <= 0.01; torus angles keep no bits
+            raise ResourceLimitError(f"horizon {self.t:.3g} exceeds 0.01 x the cost cap")
         if self.group.is_abelian:  # exp is a homomorphism: the horizon is one exact step
             return 1
         if self.t / self.step > _COST_CAP:  # more than any one path may cost; also inf

@@ -46,7 +46,6 @@ from .wrapping import (
 )
 from .heat import (
     bend_complex,
-    complexify,
     flat_heat_kernel,
     j_complex,
     preferred_route,
@@ -260,11 +259,10 @@ def _cmd_wrap_bm_check(eff: dict) -> tuple:
 
 def _cmd_bend(eff: dict) -> tuple:
     g = make_group(eff["group"])
-    gc = complexify(g)
     pts = alcove_points(g, eff["grid"]) * eff["scale"]
-    value = np.atleast_1d(bend_complex(gc, pts, eff["t"]))
-    flat = flat_heat_kernel(np.sum(pts * pts, axis=1), eff["t"], gc.real_dim)
-    inv_j = 1.0 / np.atleast_1d(j_complex(gc, pts))
+    value = np.atleast_1d(bend_complex(g, pts, eff["t"]))
+    flat = flat_heat_kernel(np.sum(pts * pts, axis=1), eff["t"], 2 * g.dim)
+    inv_j = 1.0 / np.atleast_1d(j_complex(g, pts))
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(flat > 0, value / np.where(flat > 0, flat, 1.0), np.nan)
     gap = np.abs(ratio - inv_j)

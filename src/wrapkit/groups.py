@@ -58,6 +58,9 @@ _J_SERIES_CUT = 1e-4
 # Closure guard for the Weyl group generated from the simple roots.
 _WEYL_CAP = 10_000
 
+# Relative distance of alcove_points from every wall.
+_ALCOVE_MARGIN = 0.04
+
 
 # ---------------------------------------------------------------------------
 # exact (rational) layer
@@ -246,9 +249,9 @@ class _IntegerForms:
     """Weight data of one group times ``scale``, the lcm of its denominators,
     with rows (weight generators, rho).  For coordinates c and h = (c, 1):
     h.gram.h = scale * ||lambda + rho||^2; c @ simple[:-1] >= 0 iff dominant;
-    prod(h @ roots) / rho_prod is the Weyl dimension; h @ ambient = scale *
-    (lambda + rho).  ``table`` = (limit, scaled norms, weights) for the
-    largest cutoff so far, replaced whole and never edited."""
+    prod(h @ roots) / rho_prod is the Weyl dimension.  ``table`` = (limit,
+    scaled norms, weights) for the largest cutoff so far, replaced whole and
+    never edited."""
 
     def __init__(self, raw: _RawGroup):
         rows = raw.weight_gens + (raw.rho,)
@@ -257,7 +260,7 @@ class _IntegerForms:
             return [[_dot(raw.gram, u, v) for v in vs] for u in rows]
 
         forms = {"gram": pairs(rows), "simple": pairs(raw.simple_roots),
-                 "roots": pairs(raw.pos_roots), "ambient": rows}
+                 "roots": pairs(raw.pos_roots)}
         self.name = raw.name
         self.scale = math.lcm(*(x.denominator for m in forms.values() for r in m for x in r))
         for key, m in forms.items():
@@ -302,8 +305,8 @@ class GroupSpec:
         Rows generate the weight lattice of the group.
     gamma_basis : (rank, rank) array
         Rows generate Gamma = {H : exp(H) = identity} (2*pi included).
-    weyl_group : tuple of (matrix, sign)
-        Orthogonal rank x rank matrices with their determinants.
+    _weyl_mats, _weyl_signs : (|W|, rank, rank) and (|W|,) arrays
+        The Weyl group as orthogonal matrices, with their determinants.
     volume : float
         Riemannian volume of the group; this is the exact conversion factor
         between the geodesic lattice sum and the character series.
@@ -318,7 +321,6 @@ class GroupSpec:
     rho_norm_sq: float
     weight_basis: np.ndarray
     gamma_basis: np.ndarray
-    weyl_group: tuple
     cell_volume: float
     volume: float
     factor_names: tuple
@@ -333,7 +335,7 @@ class GroupSpec:
 
     @property
     def weyl_order(self) -> int:
-        return len(self.weyl_group)
+        return len(self._weyl_signs)
 
     @property
     def is_abelian(self) -> bool:
@@ -410,7 +412,6 @@ def _finish(raw: _RawGroup) -> GroupSpec:
         rho_norm_sq=rho_nsq,
         weight_basis=wb,
         gamma_basis=gb,
-        weyl_group=tuple((mats[i], int(signs[i])) for i in range(len(signs))),
         cell_volume=cell,
         volume=volume,
         factor_names=raw.factor_names,
@@ -476,7 +477,6 @@ class Weight:
     coords: tuple[int, ...]
     dimension: int = field(compare=False)
     lambda_plus_rho_norm_sq: float = field(compare=False)
-    mu: np.ndarray = field(compare=False, repr=False)          # lambda + rho
     _norm_key: int = field(compare=False, repr=False)          # scaled norm
 
 
@@ -491,13 +491,9 @@ def _coord_rows(g: GroupSpec, coords) -> np.ndarray:
 
 def _make_weights(g: GroupSpec, c: np.ndarray, norms: np.ndarray) -> list[Weight]:
     f = g._ints
-    amb = (c @ f.ambient[:-1] + f.ambient[-1]) / f.scale
-    # stacked matvecs round each mu like coord_map @ v; one matmul would not
-    mus = np.matmul(g._coord_map, amb[..., None])[..., 0]
-    mus.setflags(write=False)
     return [
-        Weight(g.name, tuple(k), int(d), float(nq / f.scale), mu, int(nq))
-        for k, d, nq, mu in zip(c.tolist(), f.dimensions(c), norms, mus)
+        Weight(g.name, tuple(k), int(d), float(nq / f.scale), int(nq))
+        for k, d, nq in zip(c.tolist(), f.dimensions(c), norms)
     ]
 
 
@@ -538,8 +534,8 @@ def wall_distance(g: GroupSpec, H) -> np.ndarray:
     return out[0] if single else out
 
 
-def is_regular(g: GroupSpec, H, tol: float = 1e-8) -> bool:
-    return bool(np.all(wall_distance(g, H) > tol))
+def is_regular(g: GroupSpec, H) -> bool:
+    return bool(np.all(wall_distance(g, H) > 1e-8))
 
 
 def _sin_over_y(y: np.ndarray, hyperbolic: bool = False) -> np.ndarray:
@@ -776,8 +772,8 @@ def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
     norm (exact ties broken lexicographically by coordinates).  The scan is
     kept per group and served by prefix, so the cap on its box also caps what
     a smaller cutoff gets; a larger cutoff rebuilds it."""
-    if cutoff <= 0:
-        raise DomainError("cutoff must be positive")
+    if not 0 < cutoff < math.inf:  # NaN fails too
+        raise DomainError("cutoff must be positive and finite")
     limit = math.floor(Fraction(cutoff) * g._ints.scale)
     table = g._ints.table
     if table is None or table[0] < limit:
@@ -845,7 +841,7 @@ def fundamental_intervals(g: GroupSpec) -> list[tuple[float, float]]:
     return [(0.0 if g.n_positive_roots else -h, h) for h in halves]
 
 
-def _simplex_points(g: GroupSpec, count: int, margin: float) -> np.ndarray:
+def _simplex_points(g: GroupSpec, count: int) -> np.ndarray:
     """``count`` interior points of the alcove of a simple group, the simplex
     with vertices 0 and 2pi w_i / m_i (w the dual basis of the simple roots,
     m the marks of the highest root): integer barycentric weights at the
@@ -861,15 +857,15 @@ def _simplex_points(g: GroupSpec, count: int, margin: float) -> np.ndarray:
     sums = np.array(list(itertools.islice(itertools.combinations(range(1, depth + 1), r), count)))
     bary = np.column_stack([np.diff(sums, axis=1, prepend=0), depth + 2 - sums[:, -1]])
     bary = bary / bary.sum(axis=1, keepdims=True)
-    bary = margin / (r + 1) + (1 - margin) * bary
+    bary = _ALCOVE_MARGIN / (r + 1) + (1 - _ALCOVE_MARGIN) * bary
     bary /= bary.sum(axis=1, keepdims=True)
     return bary @ verts
 
 
-def alcove_points(g: GroupSpec, count: int, margin: float = 0.04) -> np.ndarray:
+def alcove_points(g: GroupSpec, count: int) -> np.ndarray:
     """Deterministic spread of ``count`` regular points inside the
     fundamental domain of W x| Gamma (the alcove; the centred cell on tori),
-    kept off every wall by the given relative margin.
+    kept off every wall by the relative margin ``_ALCOVE_MARGIN``.
 
     Each factor contributes pieces: one interval per torus axis or rank-one
     factor (``fundamental_intervals``) and one simplex per simple factor of
@@ -878,14 +874,12 @@ def alcove_points(g: GroupSpec, count: int, margin: float = 0.04) -> np.ndarray:
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if not 0 < margin < 0.5:
-        raise DomainError("margin must be in (0, 0.5)")
-    spread = margin + (1 - 2 * margin) * (np.arange(count) + 0.5) / count
+    spread = _ALCOVE_MARGIN + (1 - 2 * _ALCOVE_MARGIN) * (np.arange(count) + 0.5) / count
     pieces = []
     for name in g.factor_names:
         f = make_group(name)
         if f.rank > 1 and not f.is_abelian:
-            pieces.append(_simplex_points(f, count, margin))
+            pieces.append(_simplex_points(f, count))
         else:
             pieces += [(lo + (hi - lo) * spread)[:, None] for lo, hi in fundamental_intervals(f)]
     seeds = [1, 3, 7, 11, 17, 23, 29, 37, 41, 43, 47, 53, 59, 61, 67, 71]

@@ -12,7 +12,6 @@ two is the package's central analytic acceptance check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -166,45 +165,21 @@ def semigroup_gap(
 # complexified groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexGroup:
-    """The complexification of a catalog compact group.
-
-    Only the data needed by the closed-form kernel is kept: the compact
-    form's root system (restricted to the real Cartan directions, where the
-    sin factors of j analytically continue to sinh) and the real dimension
-    2 * dim of the complex group."""
-
-    compact: GroupSpec
-
-    @property
-    def name(self) -> str:
-        return self.compact.name + "_c"
-
-    @property
-    def real_dim(self) -> int:
-        return 2 * self.compact.dim
-
-
-def complexify(g: GroupSpec) -> ComplexGroup:
-    return ComplexGroup(compact=g)
-
-
-def j_complex(gc: ComplexGroup, H):
-    """prod over positive roots of sinh(alpha(H)/2) / (alpha(H)/2); the
-    analytic square root of det(d exp) along the continued Cartan
-    directions.  Equals 1 at H = 0 and is >= 1 everywhere."""
-    g = gc.compact
+def j_complex(g: GroupSpec, H):
+    """prod over positive roots of sinh(alpha(H)/2) / (alpha(H)/2) on the
+    complexification of g: the analytic square root of det(d exp) along the
+    real Cartan directions, where the sin factors of ``j_compact`` continue
+    to sinh.  Equals 1 at H = 0 and is >= 1 everywhere."""
     pts, single = _as_points(g, H)
     y = (pts @ g.positive_roots.T) / 2.0
     out = _sin_over_y(y, hyperbolic=True).prod(axis=1)
     return float(out[0]) if single else out
 
 
-def bend_complex(gc: ComplexGroup, H, t: float):
-    """Closed-form heat kernel on the complexified group along the compact
-    Cartan directions: the flat R^n Gaussian (n the real dimension of the
-    complex group) divided by j_complex."""
-    pts, single = _as_points(gc.compact, H)
-    out = flat_heat_kernel(np.sum(pts * pts, axis=1), t, gc.real_dim) / j_complex(gc, pts)
+def bend_complex(g: GroupSpec, H, t: float):
+    """Closed-form heat kernel on the complexification of g along the
+    compact Cartan directions: the flat Gaussian on R^(2 dim), the real
+    dimension of the complex group, divided by j_complex."""
+    pts, single = _as_points(g, H)
+    out = flat_heat_kernel(np.sum(pts * pts, axis=1), t, 2 * g.dim) / j_complex(g, pts)
     return float(out[0]) if single else out

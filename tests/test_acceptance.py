@@ -21,7 +21,6 @@ from wrapkit.brownian import (
 from wrapkit.groups import alcove_points, make_group
 from wrapkit.heat import (
     bend_complex,
-    complexify,
     flat_heat_kernel,
     j_complex,
     semigroup_gap,
@@ -191,19 +190,18 @@ def test_criterion_7_empirical_radial_density():
 def test_criterion_8_complex_group_closed_form():
     start = perf_counter()
     g = make_group("su2")
-    gc = complexify(g)
-    n = gc.real_dim
+    n = 2 * g.dim
     origin_exact = all(
-        float(np.asarray(bend_complex(gc, np.zeros(g.rank), t)))
+        float(np.asarray(bend_complex(g, np.zeros(g.rank), t)))
         == (2.0 * math.pi * t) ** (-n / 2)
         for t in (1e-4, 0.5, 1.0, 2.0)
     )
     t = 1e-4
     pts = alcove_points(g, 5) * 0.06
-    ratio = np.asarray(bend_complex(gc, pts, t)) / flat_heat_kernel(
+    ratio = np.asarray(bend_complex(g, pts, t)) / flat_heat_kernel(
         np.sum(pts * pts, axis=1), t, n
     )
-    gap = float(np.max(np.abs(ratio - 1.0 / np.asarray(j_complex(gc, pts)))))
+    gap = float(np.max(np.abs(ratio - 1.0 / np.asarray(j_complex(g, pts)))))
     elapsed = perf_counter() - start
     ok = origin_exact and gap < 1e-4 and elapsed < 1.0
     _report(8, "closed-form kernel on the complexified group", ok,

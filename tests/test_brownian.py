@@ -74,6 +74,17 @@ def test_a_step_count_past_any_float_hits_the_cost_cap(t):
             SdeConfig(group=make_group(name), t=t, step=1e-3, paths=1, seed=7)
 
 
+@pytest.mark.parametrize("name", ["torus1", "torus2"])
+def test_a_torus_horizon_is_held_to_that_of_any_walk(name):
+    # a walk at h <= 0.01 reaches t = 0.01 x the cost cap = 5e6 at most; the
+    # one exact torus step is held there too, where its angles still keep bits
+    g = make_group(name)
+    for t in (1e308, 1e7):
+        with pytest.raises(ResourceLimitError, match="cost cap"):
+            SdeConfig(group=g, t=t, step=1e-3, paths=1, seed=7)
+    assert SdeConfig(group=g, t=5e6, step=1e-3, paths=1, seed=7).n_steps == 1
+
+
 def test_cost_cap_counts_the_one_step_of_a_torus_walk():
     # a torus walk draws its whole horizon at once: 1000 paths at h = 1e-6
     # are one step each, while the same request on su2 walks 1e6 steps

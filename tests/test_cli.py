@@ -289,6 +289,22 @@ def test_step_count_past_any_float_is_runtime_failure(tmp_path, capsys):
     assert err.startswith("wrapkit: error:") and "cost cap" in err and err.count("\n") == 1
 
 
+def test_torus_horizon_past_the_cost_cap_is_runtime_failure(tmp_path, capsys):
+    code, _ = _run(["wrap-bm-check", "--group", "torus1", "--t", "1e308",
+                    "--paths", "2000"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wrapkit: error:") and "cost cap" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cutoff", ["inf", "nan"])
+def test_non_finite_cutoff_is_usage_error(tmp_path, capsys, cutoff):
+    code, _ = _run(["wrap", "--group", "su2", "--mixture", "1:0.5", "--cutoff", cutoff],
+                   tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "wrapkit: error: cutoff must be positive and finite\n"
+
+
 def test_failed_check_still_writes_report(tmp_path):
     code, text = _run(
         ["poisson-check", "--group", "torus1", "--threshold", "1e-30"],

@@ -23,7 +23,6 @@ from wrapkit import (
     as_real_checked,
     cell_grid,
     character,
-    complexify,
     dual_index,
     enumerate_weights,
     fourier_coefficients,
@@ -87,7 +86,7 @@ def test_catalog_invariants(name):
     if not g.is_abelian:
         assert_allclose(g.rho, 0.5 * g.positive_roots.sum(axis=0), atol=1e-14)
     # Weyl matrices are orthogonal with the advertised signs
-    for mat, sign in g.weyl_group:
+    for mat, sign in zip(g._weyl_mats, g._weyl_signs):
         assert_allclose(mat @ mat.T, np.eye(rank), atol=1e-13)
         assert_allclose(np.linalg.det(mat), sign, atol=1e-12)
 
@@ -162,7 +161,8 @@ def test_sun_root_data_matches_the_hand_tables():
         for arr, value in ((g.positive_roots, 1.0), (g.simple_roots, 1.0),
                            (g.rho, [0.5]), (g.weight_basis, wb), (g.gamma_basis, gb)):
             assert np.array_equal(arr, np.reshape(value, np.shape(arr)))
-        assert [(m.tolist(), sign) for m, sign in g.weyl_group] == [([[1.0]], 1), ([[-1.0]], -1)]
+        assert [(m.tolist(), sign) for m, sign in zip(g._weyl_mats, g._weyl_signs)] == \
+            [([[1.0]], 1), ([[-1.0]], -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +268,13 @@ def test_enumerate_weights_sorted_and_guarded():
         enumerate_weights(su3, 1e9)
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf])
+def test_enumerate_weights_refuses_a_non_finite_cutoff(cutoff):
+    # Fraction(cutoff) used to raise ValueError or OverflowError here
+    with pytest.raises(DomainError, match="positive and finite"):
+        enumerate_weights(make_group("su2"), cutoff)
+
+
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -357,7 +364,7 @@ def test_characters_weyl_invariant_and_periodic():
     su3 = make_group("su3")
     H = np.array([0.9, 0.4])
     base = _c(character(su3, (2, 1), H))
-    for mat, _ in su3.weyl_group:
+    for mat in su3._weyl_mats:
         assert_allclose(_c(character(su3, (2, 1), mat @ H)), base, rtol=1e-10)
     for row in su3.gamma_basis:
         assert_allclose(_c(character(su3, (2, 1), H + row)), base, rtol=1e-10)
@@ -383,7 +390,7 @@ def test_single_character_spectrum_is_its_weight_multiplicities(name):
         assert round(q.sum()) == weyl_dimension(g, lam.coords)
         ks = np.argwhere(np.rint(q) > 0) + lo
         mus = TWO_PI * ks @ np.linalg.inv(g.gamma_basis).T
-        for mat, _ in g.weyl_group:
+        for mat in g._weyl_mats:
             images = dual_index(g, mus @ mat.T) - lo
             assert_allclose(q[tuple(images.T)], q[tuple((ks - lo).T)], atol=1e-9)
 
@@ -444,7 +451,7 @@ def test_root_products_are_exactly_one_on_tori(name):
     for fn in (j_compact, weyl_density, wall_distance):
         assert np.all(np.asarray(fn(g, pts)) == 1.0)
         assert fn(g, pts[0]) == 1.0
-    assert np.all(np.asarray(j_complex(complexify(g), pts)) == 1.0)
+    assert np.all(np.asarray(j_complex(g, pts)) == 1.0)
     assert np.all(groups.weyl_denominator(g, pts) == 1.0)
 
 
@@ -531,7 +538,7 @@ def test_lattice_points_validation():
 
 def test_dual_index_round_trip():
     su3 = make_group("su3")
-    mu = weight(su3, (2, 1)).mu - weight(su3, (0, 0)).mu  # lattice vector
+    mu = np.array([2, 1]) @ su3.weight_basis  # lattice vector
     idx = dual_index(su3, mu)
     assert idx.dtype.kind == "i"
     with pytest.raises(InstabilityError, match="lattice"):

@@ -15,7 +15,6 @@ from wrapkit import (
     alcove_points,
     auto_kernel,
     bend_complex,
-    complexify,
     enumerate_weights,
     flat_heat_kernel,
     fourier_coefficients,
@@ -217,45 +216,36 @@ def test_auto_kernel_matches_both_routes():
 # complexified side
 # ---------------------------------------------------------------------------
 
-def test_complexify_shape():
-    su2 = make_group("su2")
-    gc = complexify(su2)
-    assert gc.name == "su2_c"
-    assert gc.real_dim == 6
-    assert complexify(make_group("torus2")).real_dim == 4
-
-
 def test_j_complex_closed_form():
-    gc = complexify(make_group("su2"))
+    g = make_group("su2")
     for theta in (0.4, 1.7, 3.0):
         expect = math.sinh(theta / 2.0) / (theta / 2.0)
-        assert_allclose(float(j_complex(gc, [theta])), expect, rtol=1e-12)
-    assert_allclose(float(j_complex(gc, [0.0])), 1.0, rtol=1e-12)
+        assert_allclose(float(j_complex(g, [theta])), expect, rtol=1e-12)
+    assert_allclose(float(j_complex(g, [0.0])), 1.0, rtol=1e-12)
     # tori have no roots, so the factor is identically one
-    tc = complexify(make_group("torus2"))
-    assert_allclose(float(j_complex(tc, [1.0, -2.0])), 1.0, rtol=1e-15)
+    assert_allclose(float(j_complex(make_group("torus2"), [1.0, -2.0])), 1.0, rtol=1e-15)
 
 
 def test_j_complex_grows_off_origin():
-    gc = complexify(make_group("su3"))
-    pts = alcove_points(make_group("su3"), 8) * 0.3
-    vals = np.asarray(j_complex(gc, pts))
+    su3 = make_group("su3")
+    pts = alcove_points(su3, 8) * 0.3
+    vals = np.asarray(j_complex(su3, pts))
     assert np.all(vals > 1.0)
 
 
 def test_bend_complex_at_origin_and_small_time():
-    gc = complexify(make_group("su2"))
-    n = gc.real_dim
+    g = make_group("su2")
+    n = 6  # real dimension of the complexified su2
     for t in (1e-4, 0.3):
-        assert_allclose(bend_complex(gc, np.zeros(1), t),
+        assert_allclose(bend_complex(g, np.zeros(1), t),
                         (TWO_PI * t) ** (-n / 2), rtol=1e-12)
     # small-time ratio to the flat kernel approaches 1/j_c
     t = 1e-4
     H = np.array([0.25])
-    ratio = bend_complex(gc, H, t) / flat_heat_kernel(float(H @ H), t, n)
-    assert_allclose(ratio, 1.0 / float(j_complex(gc, H)), rtol=1e-4)
+    ratio = bend_complex(g, H, t) / flat_heat_kernel(float(H @ H), t, n)
+    assert_allclose(ratio, 1.0 / float(j_complex(g, H)), rtol=1e-4)
     with pytest.raises(DomainError):
-        bend_complex(gc, np.zeros(1), 0.0)
+        bend_complex(g, np.zeros(1), 0.0)
 
 
 def test_synthesis_memory_stays_small():
