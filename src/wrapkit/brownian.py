@@ -26,13 +26,16 @@ Cayley-Hamilton (Moler & Van Loan, SIAM Rev. 45, 2003), with A^n written in
 lower powers through Newton's identities on tr A^k.  A proved 2^-60 tail
 bound fixes the term count from the batch's largest norm, < 0.35 at h <= 0.01.
 
-``_Chunk.advance`` routes each factor.  Signs give 2^d increments per step
-size (8 on su2, 256 on su3).  Once a walk takes >= 2^d path-steps at one step
-size (and 2^d <= 2^15, so not on su5), an identity engine steps once on all 2^d
-patterns and paths gather its rows by their sign bits, numbered for every
-factor by one float32 product per step with its bit weights 2^0 .. 2^(d-1):
-sums of distinct 2^j < 2^15, exact in float32 (integers to 2^24).  Sign rows
-share one norm, so both routes agree bit for bit.  Float rows step directly.
+``_Chunk.advance`` steps every sign row by gathers.  Each factor's algebra
+coordinates, in generator order, fall into consecutive cuts of at most _CUT
+(su4 8 + 7, su5 8 + 8 + 8; smaller factors one cut).  Once per step size an
+identity engine steps on each cut's 2^w patterns, zero off the cut, and paths
+right-multiply by one row per cut, in cut order: m @ T1[i1] @ T2[i2] ...  The
+cuts' signs are independent with mean zero, so the walk keeps weak order 1.
+One float32 product per step numbers the rows with each cut's bit weights
+2^0 .. 2^(w-1): sums below 2^8, exact.  Sign rows of a cut share one norm, so
+a gathered row equals the direct step on its zero-padded signs bit for bit.
+Float rows (torus normals) step directly.
 
 One runner, ``_walk``, steps the paths of every estimator, one chunk at a
 time and one increment array per step.  It alone advances chunks, and it
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -69,7 +71,7 @@ from .heat import heat_coefficients
 _COST_CAP = 5e8          # paths times steps
 _RENORM_EVERY = 100
 _DRIFT_TOL = 1e-6
-_TABLE_ROWS = 2**15      # su4's sign patterns, 8 MB; su5's 2^24 would take 7 GB
+_CUT = 8                 # algebra coordinates per sign-pattern table: 2^8 rows
 
 _TAG_GROUP = 0
 _TAG_FLAT = 1
@@ -452,33 +454,33 @@ class _Chunk:
     """count paths on g: the factor engines stepped from one increment.
     Its algebra and matrix-block slices are the one factor layout."""
 
-    def __init__(self, g: GroupSpec, count: int, work: dict | None = None):
+    def __init__(self, g: GroupSpec, count: int):
         self.group = g
         self.engines = _engines(g, count)
         self.algebra = _slices(e.factor.dim for e in self.engines)
         self.blocks = _slices(e.block for e in self.engines)
-        self.work = work or {}          # sqh -> the path-steps the walk takes with it
-        self.tables = {}                # (factor, sqh) -> the 2^d sign-pattern increments
-        self.weights = np.zeros((g.dim, len(self.engines)), dtype=np.float32)
-        for k, s in enumerate(self.algebra):    # factor k's sign bits weigh 2^0 .. 2^(d_k - 1)
-            self.weights[s, k] = 2.0 ** np.arange(s.stop - s.start)
+        self.cuts = [(k, slice(lo, min(lo + _CUT, s.stop)))   # (factor, algebra slice)
+                     for k, s in enumerate(self.algebra) for lo in range(s.start, s.stop, _CUT)]
+        self.tables = {}                # (cut, sqh) -> the cut's 2^w sign-pattern increments
+        self.weights = np.zeros((g.dim, len(self.cuts)), dtype=np.float32)
+        for j, (_, c) in enumerate(self.cuts):  # cut j's sign bits weigh 2^0 .. 2^(w_j - 1)
+            self.weights[c, j] = 2.0 ** np.arange(c.stop - c.start)
 
     def advance(self, z: np.ndarray, sqh: float) -> None:
         """One geodesic random-walk step with algebra increment sqh * z."""
-        index = None                    # every factor's sign-pattern row numbers
-        for k, (eng, s) in enumerate(zip(self.engines, self.algebra)):
-            zf, d = z[:, s], s.stop - s.start
-            # a table costs 2^d exponentials, about what 2^d direct path-steps cost
-            if z.dtype != np.int8 or 2 ** d > min(self.work.get(sqh, 0), _TABLE_ROWS):
-                eng.step(zf, sqh)
-                continue
-            if (k, sqh) not in self.tables:
-                bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
-                self.tables[k, sqh] = type(eng)(eng.factor, 2 ** d)
-                self.tables[k, sqh].step((1 - 2 * bits).astype(np.int8), sqh)
-            if index is None:           # sums of distinct 2^j < 2^15: exact in float32
-                index = ((z < 0).astype(np.float32) @ self.weights).astype(np.intp)
-            eng.times(self.tables[k, sqh], index[:, k])
+        if z.dtype != np.int8:          # float rows step directly
+            for eng, s in zip(self.engines, self.algebra):
+                eng.step(z[:, s], sqh)
+            return
+        index = ((z < 0).astype(np.float32) @ self.weights).astype(np.intp)
+        for j, (k, c) in enumerate(self.cuts):
+            eng, w = self.engines[k], c.stop - c.start
+            if (j, sqh) not in self.tables:     # the cut's 2^w patterns, zero off the cut
+                pad = np.zeros((2 ** w, len(self.weights)), dtype=np.int8)
+                pad[:, c] = 1 - 2 * (np.arange(2 ** w)[:, None] >> np.arange(w) & 1)
+                self.tables[j, sqh] = type(eng)(eng.factor, 2 ** w)
+                self.tables[j, sqh].step(pad[:, self.algebra[k]], sqh)
+            eng.times(self.tables[j, sqh], index[:, j])
 
     def renormalize(self) -> None:
         """Project back onto the group; raise if the drift measured before
@@ -530,7 +532,7 @@ def _walk(g: GroupSpec, count: int, rng: np.random.Generator, steps) -> _Chunk:
     torus (no catalog group mixes torus and non-abelian factors).  The chunk
     is renormalized and guarded every _RENORM_EVERY steps and after the last
     one."""
-    chunk = _Chunk(g, count, {math.sqrt(h): count * n for h, n in Counter(steps).items()})
+    chunk = _Chunk(g, count)
     shape = (count, g.dim)
     for k, h in enumerate(steps):
         z = rng.standard_normal(shape) if g.is_abelian else _signs(rng, shape)

@@ -209,7 +209,7 @@ def _cmd_wrap(eff: dict) -> tuple:
         raise DomainError("wrap needs --mixture w1:s1,w2:s2,...")
     g = make_group(eff["group"])
     nu = RadialFunction.mixture(g.dim, _parse_mixture(eff["mixture"]))
-    cutoff = eff["cutoff"] if eff["cutoff"] else auto_cutoff(g, nu, eff["tol"])
+    cutoff = auto_cutoff(g, nu, eff["tol"]) if eff["cutoff"] is None else eff["cutoff"]
     f = wrap_spectral(g, nu, cutoff)
     rows = [
         (";".join(str(c) for c in w.coords), w.dimension, f.coeffs[w])

@@ -285,14 +285,10 @@ def convolve_central(a: CentralFunction, b: CentralFunction) -> CentralFunction:
     return CentralFunction(a.group, coeffs, min(a.cutoff, b.cutoff))
 
 
-def laplacian_spectral(f: CentralFunction, shifted: bool) -> CentralFunction:
-    """Spectral action of the Laplacian: multiply c_lambda by
-    -||lambda+rho||^2 (shifted variant) or -(||lambda+rho||^2 - ||rho||^2)
-    (plain group Laplacian)."""
-    offset = 0.0 if shifted else f.group.rho_norm_sq
-    coeffs = {
-        w: c * (-(w.lambda_plus_rho_norm_sq - offset)) for w, c in f.coeffs.items()
-    }
+def laplacian_spectral(f: CentralFunction) -> CentralFunction:
+    """Spectral action of the shifted Laplacian: multiply c_lambda by
+    -||lambda+rho||^2."""
+    coeffs = {w: c * -w.lambda_plus_rho_norm_sq for w, c in f.coeffs.items()}
     return CentralFunction(f.group, coeffs, f.cutoff)
 
 
@@ -508,7 +504,7 @@ def wraplap_check(g: GroupSpec, nu: RadialFunction, cutoff: float) -> float:
     applying the shifted spectral Laplacian after transport; zero in exact
     arithmetic for every radial nu."""
     lhs = wrap_spectral(g, nu.laplacian(), cutoff)
-    rhs = laplacian_spectral(wrap_spectral(g, nu, cutoff), shifted=True)
+    rhs = laplacian_spectral(wrap_spectral(g, nu, cutoff))
     return max((abs(c - rhs.coeffs[w]) for w, c in lhs.coeffs.items()), default=0.0)
 
 

@@ -218,13 +218,11 @@ def test_signs_are_keyed_by_seed_tag_and_chunk():
 # ---------------------------------------------------------------------------
 
 def _route_pair(name, count, steps, seed):
-    """Two chunks walked on the same seeded signs: as int8 with the work of a
-    long walk at every step size (the lookup route wherever 2^d <= 2^15) and
-    cast to float64 (always the direct route)."""
+    """Two chunks walked on the same seeded signs: as int8 (the lookup route)
+    and cast to float64 (the direct route)."""
     g = make_group(name)
     rng = brownian._rng(seed, brownian._TAG_GROUP, 0)
-    work = {math.sqrt(h): brownian._TABLE_ROWS for h in steps}
-    lookup, direct = brownian._Chunk(g, count, work), brownian._Chunk(g, count, work)
+    lookup, direct = brownian._Chunk(g, count), brownian._Chunk(g, count)
     for k, h in enumerate(steps):
         z = brownian._signs(rng, (count, g.dim))
         lookup.advance(z, math.sqrt(h))
@@ -235,7 +233,7 @@ def _route_pair(name, count, steps, seed):
     return lookup, direct
 
 
-@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3", "su4"])
+@pytest.mark.parametrize("name", ["su2", "so3", "su2xsu2", "su3"])
 def test_lookup_steps_equal_direct_steps_bit_for_bit(name):
     # ten steps of 5e-3 and a partial last one of 3e-3
     steps = [5e-3] * 10 + [3e-3]
@@ -249,17 +247,17 @@ def test_lookup_steps_equal_direct_steps_bit_for_bit(name):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
-@pytest.mark.parametrize("name", ["su4", "su2xsu2"])
+@pytest.mark.parametrize("name", ["su2xsu2"])
 def test_every_sign_pattern_gathers_its_own_row(name):
-    # one identity path per pattern r = 0 .. 2^d - 1 (all-negative 2^15 - 1
-    # on su4, the largest row number): the float32 product must number each
-    # exactly, so every path equals the direct step on its own signs; on
-    # su2xsu2 the second factor reads the high three bits, column 1 of weights
+    # one identity path per pattern r = 0 .. 2^d - 1: the float32 product
+    # must number each exactly, so every path equals the direct step on its
+    # own signs; on su2xsu2 the second factor reads the high three bits,
+    # column 1 of weights
     g = make_group(name)
     count, sqh = 2 ** g.dim, math.sqrt(5e-3)
     z = (1 - 2 * (np.arange(count)[:, None] >> np.arange(g.dim) & 1)).astype(np.int8)
-    lookup = brownian._Chunk(g, count, {sqh: brownian._TABLE_ROWS})
-    direct = brownian._Chunk(g, count, {sqh: brownian._TABLE_ROWS})
+    lookup = brownian._Chunk(g, count)
+    direct = brownian._Chunk(g, count)
     lookup.advance(z, sqh)
     direct.advance(z.astype(np.float64), sqh)
     assert len(lookup.tables) == len(lookup.engines) and direct.tables == {}
@@ -287,32 +285,35 @@ def test_su3_lookup_exponentiates_once_per_step_size(monkeypatch):
     assert len(chunk.tables) == 2
 
 
-@pytest.mark.parametrize("name, paths, n_steps, calls", [
-    # 5 x 2000 path-steps < 2^15 on su4: direct; 20 x 2000 >= 2^15: one table
-    ("su4", 2000, 5, [2000] * 5),
-    ("su4", 2000, 20, [2 ** 15]),
-    # fewer su3 paths than patterns: one step is direct, four take a table
-    ("su3", 64, 1, [64]),
-    ("su3", 64, 4, [256]),
-])
-def test_lookup_needs_as_many_path_steps_as_patterns(monkeypatch, name, paths, n_steps, calls):
-    # a table costs 2^d exponentials, about what 2^d direct path-steps cost;
-    # h = 2^-7 makes every step the same size
+def test_su4_cut_patterns_gather_their_own_rows():
+    # one identity path per pattern r = 0 .. 2^15 - 1 of su4's cuts of 8 and
+    # 7 coordinates (all-negative 255 and 127, the largest row numbers):
+    # each path equals two direct steps, in cut order, on its signs with the
+    # other cut zeroed
+    g = make_group("su4")
+    count, sqh = 2 ** g.dim, math.sqrt(5e-3)
+    z = (1 - 2 * (np.arange(count)[:, None] >> np.arange(g.dim) & 1)).astype(np.int8)
+    lookup, direct = brownian._Chunk(g, count), brownian._Chunk(g, count)
+    assert [c for _, c in lookup.cuts] == [slice(0, 8), slice(8, 15)]
+    lookup.advance(z, sqh)
+    for _, c in lookup.cuts:
+        pad = np.zeros(z.shape)
+        pad[:, c] = z[:, c]
+        direct.advance(pad, sqh)
+    assert len(lookup.tables) == 2 and direct.tables == {}
+    assert lookup.engines[0].m.tobytes() == direct.engines[0].m.tobytes()
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("su3", [256]), ("su4", [256, 128]), ("su5", [256, 256, 256])])
+def test_every_walk_builds_one_table_per_cut_and_step_size(monkeypatch, name, calls):
+    # 64 paths, fewer than the patterns of any cut, and one step: every sign
+    # row still takes its cuts' tables, one exponential of 2^w rows each
     seen = _count_exponentials(monkeypatch)
-    cfg = SdeConfig(group=make_group(name), t=n_steps / 128, step=1 / 128, paths=paths, seed=4)
+    cfg = SdeConfig(group=make_group(name), t=1 / 128, step=1 / 128, paths=64, seed=4)
     chunk = brownian._run_chunk(cfg, 0, cfg.paths)
     assert seen == calls
-    assert len(chunk.tables) == (calls == [2 ** cfg.group.dim])
-
-
-def test_su5_never_builds_a_table(monkeypatch):
-    # 2^24 patterns exceed _TABLE_ROWS however long the walk
-    calls = _count_exponentials(monkeypatch)
-    g = make_group("su5")
-    chunk = brownian._Chunk(g, 3, {0.1: 2 ** 30})
-    chunk.advance(brownian._signs(brownian._rng(4, 0, 0), (3, g.dim)), 0.1)
-    assert calls == [3]
-    assert chunk.tables == {}
+    assert len(chunk.tables) == len(chunk.cuts) == len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,13 @@ def test_non_finite_cutoff_is_usage_error(tmp_path, capsys, cutoff):
     assert capsys.readouterr().err == "wrapkit: error: cutoff must be positive and finite\n"
 
 
+def test_zero_cutoff_is_usage_error(tmp_path, capsys):
+    # 0 is a given cutoff, not "take the automatic one"
+    code, _ = _run(["wrap", "--group", "su2", "--mixture", "1:0.5", "--cutoff", "0"], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "wrapkit: error: cutoff must be positive and finite\n"
+
+
 def test_failed_check_still_writes_report(tmp_path):
     code, text = _run(
         ["poisson-check", "--group", "torus1", "--threshold", "1e-30"],

@@ -10,13 +10,16 @@ That a torus walk is one step is stated once, in ``SdeConfig.n_steps``:
 ``_walk`` (normals or signs) and in ``conjugacy_coordinate`` (the
 membership checks).  The step exponential
 ``_exp_minus_i`` is named only in ``_SunEngine.step``, so the su<n> step
-is the one place an increment is exponentiated.
+is the one place an increment is exponentiated, and an engine's ``.step(``
+is called only in ``_Chunk.advance``, so every sign row takes the one route
+of table gathers and no second stepping route grows elsewhere.
 
 The check parses the module and names the enclosing function of every
 ``.advance(`` call, of every mention of a draw, of ``_TorusEngine`` (at
 module level, the name it is assigned to), of ``fsum`` and of
 ``is_abelian``, the enclosing method, with its class, of every mention of
-``_exp_minus_i``, and every class that defines ``drift``.
+``_exp_minus_i`` and of every ``.step(`` call, and every class that defines
+``drift``.
 """
 
 import ast
@@ -49,6 +52,13 @@ def _advance_callers(tree):
     return _enclosing(tree, lambda node: isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Attribute)
                       and node.func.attr == "advance")
+
+
+def _step_callers(tree):
+    """(enclosing method with its class, line) of each call to a ``step`` attribute."""
+    return _enclosing(tree, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "step", qualified=True)
 
 
 def _mentions(tree, name, qualified=False):
@@ -160,6 +170,35 @@ def test_the_step_exponential_guard_sees_stray_call_sites():
     )
     assert [f for f, _ in _mentions(ast.parse(code), "_exp_minus_i", qualified=True)] == [
         "_SunEngine.step", "_Table.step", "step", None]
+
+
+def test_only_the_chunk_steps_engines():
+    callers = _step_callers(_tree())
+    assert callers, "no chunk steps an engine any more"
+    assert [f"line {line} in {func}" for func, line in callers
+            if func != "_Chunk.advance"] == []
+
+
+def test_the_engine_step_guard_sees_stray_routes():
+    code = (
+        'class _Chunk:\n'
+        '    def advance(self, z, sqh):\n'
+        '        self.tables[0, sqh].step(z, sqh)\n'
+        '        self.engines[0].step(z, sqh)\n'
+        '    def direct(self, z, sqh):\n'
+        '        for eng in self.engines:\n'
+        '            eng.step(z, sqh)\n'
+        'class _SunEngine:\n'
+        '    def step(self, z, sqh):\n'
+        '        self.m = self.m @ _exp_minus_i(z)\n'
+        'def _walk(chunk, z):\n'
+        '    chunk.engines[0].step(z, 0.1)\n'
+        '    return cfg.step\n'
+        'STEP = engine.step\n'
+        'engine.step(z, 0.1)\n'
+    )
+    assert [f for f, _ in _step_callers(ast.parse(code))] == [
+        "_Chunk.advance", "_Chunk.advance", "_Chunk.direct", "_walk", None]
 
 
 def test_no_engine_defines_drift():

@@ -1,21 +1,25 @@
 """The geodesic random walk's law, computed exactly, and its weak order.
 
-The walk's increments are iid, uniform over the 2^d sign patterns, so for
-any matrix representation pi of the group E[pi(X_n)] = M(h)^(n-1) M(h_last),
-where M(h) is the mean of pi over the 2^d increments at step h (the Fourier
-view of random walks on groups: Diaconis, Group Representations in
-Probability and Statistics, IMS 1988, ch. 3).  Tensor powers of the
-engines' matrix block carry every character needed here, since
-tr X^(x k) = (tr X)^k.  The oracle steps a ``brownian._Chunk`` once on all
-2^d patterns, so the increments are exponentiated by the walk's own engines,
-and takes the step count and the last step from ``SdeConfig`` as the walk
-does.  The means are exact up to rounding, so each weak-order check takes
+The walk's increments are iid, so for any matrix representation pi of the
+group E[pi(X_n)] = M(h)^(n-1) M(h_last), where M(h) is the mean of pi over
+one step h (the Fourier view of random walks on groups: Diaconis, Group
+Representations in Probability and Statistics, IMS 1988, ch. 3).  A step is
+the product, in cut order, of one increment per cut of the algebra
+coordinates, each uniform over its cut's 2^w sign patterns and independent
+of the others, so M(h) is the product of the cut means.  Tensor powers of
+the engines' matrix block carry every character needed here, since
+tr X^(x k) = (tr X)^k and (AB)^(x k) = A^(x k) B^(x k).  The oracle steps a
+``brownian._Chunk`` once on each cut's 2^w patterns, zero off the cut, so
+the increments are exponentiated by the walk's own engines, and takes the
+step count and the last step from ``SdeConfig`` as the walk does.  The
+means are exact up to rounding, so each weak-order check takes
 milliseconds and has no sampling noise.
 
 Every rule below was fixed before any of its numbers was read.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,12 +28,13 @@ from wrapkit import SdeConfig, brownian, make_group, mc_expect_central, real_cha
 from test_acceptance import SEED
 
 
-def _increments(g, h, block):
-    """The 2^d increments of one step h as matrices, cut to ``block``."""
-    d = g.dim
-    bits = np.arange(2 ** d)[:, None] >> np.arange(d) & 1
-    chunk = brownian._Chunk(g, 2 ** d)
-    chunk.advance((1 - 2 * bits).astype(np.int8), math.sqrt(h))
+def _increments(g, h, cut, block):
+    """The 2^w increments of one cut at step h as matrices, cut to ``block``."""
+    w = cut.stop - cut.start
+    z = np.zeros((2 ** w, g.dim))
+    z[:, cut] = 1 - 2 * (np.arange(2 ** w)[:, None] >> np.arange(w) & 1)
+    chunk = brownian._Chunk(g, 2 ** w)
+    chunk.advance(z, math.sqrt(h))
     return chunk.matrices()[:, block, block]
 
 
@@ -42,13 +47,20 @@ def _tensor_mean(mats, k):
     return out.mean(axis=0)
 
 
+def _step_mean(g, h, k, block):
+    """M(h) for the k-th tensor power: the product of the cut means."""
+    means = [_tensor_mean(_increments(g, h, cut, block), k)
+             for _, cut in brownian._Chunk(g, 0).cuts]
+    return reduce(np.matmul, means)
+
+
 def _walk_moment(g, t, h, k=1, block=slice(None)):
     """E[(tr X)^k] for the walk's endpoint X at horizon t and step h, X cut
     to the diagonal ``block`` of the engines' block-diagonal matrices."""
     cfg = SdeConfig(group=g, t=t, step=h, paths=1, seed=0)
     n = cfg.n_steps
     last = cfg.t - (n - 1) * cfg.step                 # as _run_chunk forms it
-    step, final = (_tensor_mean(_increments(g, s, block), k) for s in (cfg.step, last))
+    step, final = (_step_mean(g, s, k, block) for s in (cfg.step, last))
     value = np.trace(np.linalg.matrix_power(step, n - 1) @ final)
     assert abs(value.imag) < 1e-12                    # M(h) is Hermitian
     return float(value.real)
@@ -82,7 +94,7 @@ def test_su2_weak_error_halves_with_the_step():
     assert 1.8 <= d1 / d2 <= 2.2
 
 
-@pytest.mark.parametrize("name", ["so3", "su3"])
+@pytest.mark.parametrize("name", ["so3", "su3", "su4", "su5"])
 def test_weak_error_halves_with_the_step(name):
     g = make_group(name)
     d1, d2 = _differences(lambda t, h: _fundamental(g, t, h), 0.3, 0.01)
@@ -91,7 +103,8 @@ def test_weak_error_halves_with_the_step(name):
 
 # path counts only keep the test short; the rule is 4 standard errors
 @pytest.mark.parametrize("name, paths", [
-    ("su2", 20_000), ("so3", 20_000), ("su2xsu2", 10_000), ("su3", 2_000)])
+    ("su2", 20_000), ("so3", 20_000), ("su2xsu2", 10_000), ("su3", 2_000),
+    ("su4", 2_000), ("su5", 2_000)])
 def test_simulated_walk_has_the_exact_mean(name, paths):
     g = make_group(name)
     cfg = SdeConfig(group=g, t=0.5, step=5e-3, paths=paths, seed=SEED)
@@ -103,7 +116,8 @@ def test_simulated_walk_has_the_exact_mean(name, paths):
 # bias 5 h on top of 3 combined standard errors
 @pytest.mark.parametrize("name, t, h", [
     ("su2", 1.0, 1e-3),
-    *[(name, t, 5e-3) for name in ("su2", "so3", "su2xsu2", "su3") for t in (0.5, 1.0)]])
+    *[(name, t, 5e-3) for name in ("su2", "so3", "su2xsu2", "su3") for t in (0.5, 1.0)],
+    ("su4", 0.5, 5e-3), ("su5", 0.5, 5e-3)])
 def test_walk_bias_sits_inside_the_acceptance_allowance(name, t, h):
     g = make_group(name)
     bias = _fundamental(g, t, h) - _heat_target(g, (1,) + (0,) * (g.rank - 1), t)

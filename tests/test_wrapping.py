@@ -249,10 +249,8 @@ def test_laplacian_spectral_multipliers():
     w1 = weight(su2, (1,))
     from wrapkit import CentralFunction
     f = CentralFunction(su2, {w1: 2.0}, 4.0)
-    shifted = laplacian_spectral(f, shifted=True)
-    plain = laplacian_spectral(f, shifted=False)
+    shifted = laplacian_spectral(f)
     assert_allclose(shifted.coeffs[w1], -2.0 * 1.0, rtol=1e-15)   # ||l+r||^2 = 1
-    assert_allclose(plain.coeffs[w1], -2.0 * (1.0 - 0.25), rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
