@@ -18,8 +18,8 @@ class SingularityError(ValueError):
 
 
 class ContractError(ValueError):
-    """A supplied function object is missing a contract the operation needs,
-    or its contracts are mutually inconsistent."""
+    """A mixture-only operation (``convolve``, ``laplacian``) was asked of the
+    flat Laplacian of a Gaussian mixture, which is not itself a mixture."""
 
 
 class ResolutionError(ValueError):

@@ -29,6 +29,7 @@ from .wrapping import (
     RadialFunction,
     auto_cutoff,
     convolve_central,
+    _check_positive_finite,
     _quadrature_gap,
     wrap_lattice,
     wrap_spectral,
@@ -48,12 +49,6 @@ def flat_heat_kernel(x_norm_sq, t: float, n: int):
         raise DomainError("x_norm_sq must be nonnegative")
     out = (2 * math.pi * t) ** (-n / 2) * np.exp(-q / (2 * t))
     return float(out) if out.ndim == 0 else out
-
-
-def _check_positive_finite(**values: float) -> None:
-    for name, v in values.items():
-        if not 0 < v < math.inf:  # NaN fails too
-            raise DomainError(f"{name} must be positive and finite")
 
 
 @lru_cache(maxsize=256)

@@ -1,6 +1,10 @@
 """Transport of radial functions from the Lie algebra to central functions
 on the group, in two independently computable forms.
 
+Every radial function here is a Gaussian mixture or the flat Laplacian of
+one (``RadialFunction``), so its profile, its Fourier transform and both
+decay envelopes are closed forms in its (weight, variance) pairs.
+
 The spectral form expands the transported function in irreducible characters
 with coefficients d_lambda * nu_hat(lambda + rho), evaluated by
 ``groups.CharacterTable``, whose weight-form spectrum ``fourier_coefficients``
@@ -52,188 +56,113 @@ from .groups import (
 _J_FLOOR = 1e-12
 
 
+def _check_positive_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:  # NaN fails too
+            raise DomainError(f"{name} must be positive and finite")
+
+
 # ---------------------------------------------------------------------------
 # radial functions on the algebra
 # ---------------------------------------------------------------------------
 
 class RadialFunction:
-    """A rotation-invariant function on R^dim with Gaussian-type decay.
+    """A Gaussian mixture nu = sum_i w_i p_{s_i} on R^dim, p_s the heat-kernel
+    Gaussian of variance s, or the flat Laplacian of one.
 
-    The evaluation contract maps ||x||^2 to nu(x); the optional Fourier
-    contract maps ||xi||^2 to nu_hat(xi).  ``decay = (amp, var)`` bounds
+    ``profile`` maps ||x||^2 to nu(x) and ``fourier`` maps ||xi||^2 to
+    nu_hat(xi), both in closed form from the (weight, variance) pairs in
+    ``components``.  ``decay = (amp, var)`` bounds
     |nu(x)| <= amp * e^{-||x||^2/(2 var)} and drives truncation radii;
-    ``fourier_decay`` plays the same role on the transform side.
-
-    A Fourier contract passed to the constructor is always spot-checked
-    against the evaluation contract by a direct Hankel-transform quadrature
-    (an independent route through scipy.integrate.quad, imported only then),
-    so a mismatched pair fails fast.  The closed forms built here (mixtures,
-    hence Gaussians and convolutions, and their Laplacians) carry transforms
-    that are exact by construction; they skip the quadrature, and the test
-    suite checks each of them against it instead.
+    ``fourier_decay`` plays the same role on the transform side.  The
+    constructor validates every pair; ``gaussian``, ``mixture`` and
+    ``convolve`` build mixtures, and only ``laplacian`` builds a Laplacian.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        profile,
-        fourier=None,
-        decay=None,
-        fourier_decay=None,
-        components=None,
-        label: str = "radial",
-    ):
-        if dim < 1:
-            raise DomainError("dim must be a positive integer")
-        self.dim = int(dim)
-        self.profile = profile
-        self.fourier = fourier
-        self.decay = decay
-        self.fourier_decay = fourier_decay
-        self.components = tuple(components) if components is not None else None
-        self.label = label
-        if self.fourier is not None:
-            self._check_fourier_pair()
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def _closed_form(cls, fourier, **kwargs) -> "RadialFunction":
-        """Attach a transform that is exact by construction, unchecked."""
-        out = cls(**kwargs)
-        out.fourier = fourier
-        return out
-
-    @classmethod
-    def gaussian(cls, dim: int, t: float) -> "RadialFunction":
-        """The heat-kernel Gaussian (2 pi t)^{-dim/2} e^{-||x||^2/2t}."""
-        if not 0 < t < math.inf:  # NaN fails too
-            raise DomainError("variance parameter t must be positive and finite")
-        return cls.mixture(dim, [(1.0, float(t))], label=f"gauss(t={t:g})")
-
-    @classmethod
-    def mixture(cls, dim: int, pairs, label: str | None = None) -> "RadialFunction":
-        """Weighted Gaussian mixture sum_i w_i * p_{s_i}."""
-        pairs = [(float(w), float(s)) for (w, s) in pairs]
+    def __init__(self, dim: int, pairs):
+        pairs = tuple((float(w), float(s)) for (w, s) in pairs)
         if not pairs:
             raise DomainError("mixture needs at least one (weight, variance) pair")
         for w, s in pairs:
             if not (math.isfinite(w) and 0 < s < math.inf):
                 raise DomainError("mixture weights must be finite, variances positive and finite")
         d = int(dim)
+        if d < 1:
+            raise DomainError("dim must be a positive integer")
+        self.dim, self.components = d, pairs
+        self.decay = (sum(abs(w) * (TWO_PI * s) ** (-d / 2) for w, s in pairs),
+                      max(s for _, s in pairs))
+        self.fourier_decay = (sum(abs(w) for w, s in pairs), min(s for _, s in pairs))
 
-        def profile(r2):
-            r2 = np.asarray(r2, dtype=float)
-            out = np.zeros_like(r2)
-            for w, s in pairs:
-                out = out + w * (TWO_PI * s) ** (-d / 2) * np.exp(-r2 / (2 * s))
-            return out
+    @classmethod
+    def gaussian(cls, dim: int, t: float) -> "RadialFunction":
+        """The heat-kernel Gaussian (2 pi t)^{-dim/2} e^{-||x||^2/2t}."""
+        if not 0 < t < math.inf:  # NaN fails too
+            raise DomainError("variance parameter t must be positive and finite")
+        return cls(dim, [(1.0, float(t))])
 
-        def fourier(q2):
-            q2 = np.asarray(q2, dtype=float)
-            out = np.zeros_like(q2)
-            for w, s in pairs:
-                out = out + w * np.exp(-q2 * s / 2)
-            return out
+    @classmethod
+    def mixture(cls, dim: int, pairs) -> "RadialFunction":
+        """Weighted Gaussian mixture sum_i w_i * p_{s_i}."""
+        return cls(dim, pairs)
 
-        amp = sum(abs(w) * (TWO_PI * s) ** (-d / 2) for w, s in pairs)
-        famp = sum(abs(w) for w, s in pairs)
-        return cls._closed_form(
-            dim=d,
-            profile=profile,
-            fourier=fourier,
-            decay=(amp, max(s for _, s in pairs)),
-            fourier_decay=(famp, min(s for _, s in pairs)),
-            components=pairs,
-            label=label or "mixture(" + ",".join(f"{w:g}:{s:g}" for w, s in pairs) + ")",
-        )
-
-    # -- mixture algebra ----------------------------------------------------
-
-    def _require_components(self, op: str):
-        if self.components is None:
-            raise ContractError(f"{op} needs an explicit Gaussian-mixture form")
+    def _mixture(self, op: str):
         return self.components
 
     def convolve(self, other: "RadialFunction") -> "RadialFunction":
         """Flat convolution; Gaussian components add variances."""
-        a = self._require_components("convolve")
-        b = other._require_components("convolve")
+        a = self._mixture("convolve")
+        b = other._mixture("convolve")
         if self.dim != other.dim:
             raise DomainError("convolve needs matching dimensions")
-        pairs = [(wa * wb, sa + sb) for wa, sa in a for wb, sb in b]
-        return RadialFunction.mixture(self.dim, pairs, label=f"({self.label})*({other.label})")
+        return RadialFunction(self.dim, [(wa * wb, sa + sb) for wa, sa in a for wb, sb in b])
 
     def laplacian(self) -> "RadialFunction":
-        """Flat Laplacian, with the transform contract -||xi||^2 nu_hat."""
-        pairs = self._require_components("laplacian")
-        d = self.dim
+        """Flat Laplacian, with the transform -||xi||^2 nu_hat."""
+        pairs, d = self._mixture("laplacian"), self.dim
+        out = _Laplacian(d, pairs)
+        famp, fvar = out.fourier_decay
+        out.decay = (sum(abs(w) * (TWO_PI * s) ** (-d / 2) * (2 * d / s + 4 / s)
+                         for w, s in pairs), 2 * out.decay[1])
+        out.fourier_decay = (famp * (4 * d / fvar), fvar / 2)
+        return out
 
-        def profile(r2):
-            r2 = np.asarray(r2, dtype=float)
-            out = np.zeros_like(r2)
-            for w, s in pairs:
-                gauss = (TWO_PI * s) ** (-d / 2) * np.exp(-r2 / (2 * s))
-                out = out + w * gauss * (r2 / s**2 - d / s)
-            return out
+    def profile(self, r2) -> np.ndarray:
+        r2 = np.asarray(r2, dtype=float)
+        out = np.zeros_like(r2)
+        for w, s in self.components:
+            out = out + w * (TWO_PI * s) ** (-self.dim / 2) * np.exp(-r2 / (2 * s))
+        return out
 
-        def fourier(q2):
-            return -np.asarray(q2, dtype=float) * self.fourier(q2)
-
-        smax = max(s for _, s in pairs)
-        amp = sum(
-            abs(w) * (TWO_PI * s) ** (-d / 2) * (2 * d / s + 4 / s)
-            for w, s in pairs
-        )
-        famp = sum(abs(w) for w, s in pairs) * (4 * d / min(s for _, s in pairs))
-        return RadialFunction._closed_form(
-            dim=d,
-            profile=profile,
-            fourier=fourier,
-            decay=(amp, 2 * smax),
-            fourier_decay=(famp, min(s for _, s in pairs) / 2),
-            components=None,
-            label=f"lap({self.label})",
-        )
-
-    # -- contracts ----------------------------------------------------------
+    def fourier(self, q2) -> np.ndarray:
+        q2 = np.asarray(q2, dtype=float)
+        out = np.zeros_like(q2)
+        for w, s in self.components:
+            out = out + w * np.exp(-q2 * s / 2)
+        return out
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.profile(np.sum(x * x, axis=1))
 
-    def _check_fourier_pair(self) -> None:
-        """Spot check: nu_hat(q) must match the Hankel-transform quadrature
-        (2 pi)^{d/2} q^{1-d/2} * int_0^inf profile(r^2) J_{d/2-1}(q r) r^{d/2} dr
-        at two probe frequencies, to 1e-6 relative."""
-        from scipy.integrate import quad
-        from scipy.special import jv
 
+class _Laplacian(RadialFunction):
+    """The flat Laplacian of the mixture in ``components``; not a mixture."""
+
+    def _mixture(self, op: str):
+        raise ContractError(f"{op} needs an explicit Gaussian-mixture form")
+
+    def profile(self, r2) -> np.ndarray:
+        r2 = np.asarray(r2, dtype=float)
+        out = np.zeros_like(r2)
         d = self.dim
-        if self.decay is not None:
-            amp, var = self.decay
-            r_max = math.sqrt(max(2 * var * math.log(max(amp, 1.0) / 1e-16 + 10.0), 9.0)) + 8.0
-        else:
-            r_max = 40.0
-        order = d / 2 - 1
-        for q in (0.8, 1.7):
-            val, _ = quad(
-                lambda r: float(self.profile(np.array([r * r]))[0])
-                * jv(order, q * r)
-                * r ** (d / 2),
-                0.0,
-                r_max,
-                limit=400,
-                epsabs=1e-12,
-                epsrel=1e-10,
-            )
-            direct = TWO_PI ** (d / 2) * q ** (1 - d / 2) * val
-            expected = float(np.asarray(self.fourier(np.array([q * q])))[0])
-            if abs(direct - expected) > 1e-6 * max(abs(expected), 1e-8):
-                raise ContractError(
-                    f"{self.label}: evaluation and transform contracts are not "
-                    f"a Fourier pair at |xi|={q} ({direct:.9e} vs {expected:.9e})"
-                )
+        for w, s in self.components:
+            gauss = (TWO_PI * s) ** (-d / 2) * np.exp(-r2 / (2 * s))
+            out = out + w * gauss * (r2 / s**2 - d / s)
+        return out
+
+    def fourier(self, q2) -> np.ndarray:
+        return -np.asarray(q2, dtype=float) * super().fourier(q2)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +284,6 @@ def _tail_radius(g: GroupSpec, basis: str, p: int, sigma: float, target: float) 
 def wrap_spectral(g: GroupSpec, nu: RadialFunction, cutoff: float) -> CentralFunction:
     """Character expansion of the transported function: coefficients
     d_lambda * nu_hat(lambda + rho) over all weights under the cutoff."""
-    if nu.fourier is None:
-        raise ContractError("wrap_spectral needs the Fourier-transform contract")
     if nu.dim != g.dim:
         raise DomainError(
             f"radial function lives on R^{nu.dim}, group {g.name} needs R^{g.dim}"
@@ -374,10 +301,7 @@ def auto_cutoff(g: GroupSpec, nu: RadialFunction, tol: float) -> float:
     that sum is at most famp sum d_lambda^2 e^{-fvar ||lambda + rho||^2 / 2},
     d_lambda <= ||lambda + rho||^m / prod <rho, alpha> (unit roots), and the |W|
     images of lambda + rho lie in rho + (weight lattice) with the same norm."""
-    if nu.fourier_decay is None:
-        raise ContractError("auto_cutoff needs a Fourier-side decay bound")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_positive_finite(tol=tol)
     famp, fvar = nu.fourier_decay
     target = tol / 10.0 * g.weyl_order * float(np.prod(g.positive_roots @ g.rho)) ** 2 / famp
     return _tail_radius(g, "weight_basis", 2 * g.n_positive_roots, 1.0 / fvar, target) ** 2
@@ -387,8 +311,6 @@ def _lattice_radius(g: GroupSpec, nu: RadialFunction, center: np.ndarray, tol: f
     """One ring width past the R whose terms beyond hold <= tol/10 of |nu/j| g.volume:
     each is <= amp ||x||^m e^{-||x||^2 / (2 var)} / (2 wall distance)^m, since
     |sin(alpha(H + gamma)/2)| = |sin(alpha(H)/2)| and |alpha(x)/2| <= ||x||/2."""
-    if nu.decay is None:
-        raise ContractError("wrap_lattice needs a decay bound on the radial function")
     amp, var = nu.decay
     wd = max(float(wall_distance(g, center)), 1e-12)
     target = tol / 10.0 * (2.0 * wd) ** g.n_positive_roots / (g.volume * amp)
@@ -413,8 +335,7 @@ def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> flo
         raise DomainError(
             f"radial function lives on R^{nu.dim}, group {g.name} needs R^{g.dim}"
         )
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_positive_finite(tol=tol)
     center = np.asarray(H, dtype=float)
     if center.shape != (g.rank,):
         raise DomainError(f"{g.name}: torus point needs {g.rank} coordinates")

@@ -265,6 +265,15 @@ def test_non_finite_kernel_input_is_usage_error(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err == f"wrapkit: error: {flag} must be positive and finite\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [["wrap", "--mixture", "1:0.5"], ["wraplap-check"]])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, argv, tol):
+    # a NaN tol never settles the tail radius; an infinite one truncates to nothing
+    code, _ = _run([argv[0], "--group", "su2", *argv[1:], "--tol", tol], tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == "wrapkit: error: tol must be positive and finite\n"
+
+
 @pytest.mark.parametrize("argv", [["wraplap-check", "--t", "inf"], ["wraplap-check", "--t", "nan"],
                                   ["wrap", "--mixture", "1:inf"], ["wrap", "--mixture", "nan:0.5"]])
 def test_non_finite_variance_or_weight_is_usage_error(tmp_path, capsys, argv):

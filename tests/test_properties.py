@@ -1,6 +1,7 @@
 """Property tests of the spectral core: weight enumeration, its per-group
 table, the FFT quadrature round trip, Weyl invariance of character
-synthesis, and the proved tail bounds behind both truncations; of the
+synthesis, the decay envelopes of the radial closed forms and the proved
+tail bounds behind both truncations; of the
 su<n> conjugacy fold from matrices to alcove points; of the su<n> step
 exponential on every increment the walk can make; and of the chunk layout
 of a path request.
@@ -298,6 +299,27 @@ def test_lattice_terms_past_the_bound_radius_are_below_a_tenth_of_tol(name, t, l
     outer = pts[np.linalg.norm(pts, axis=1) > radius - ring]
     mass = g.volume * float(np.sum(np.abs(nu(outer) / j_compact(g, outer))))
     assert mass <= tol / 10.0
+
+
+_PAIRS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 10.0)), min_size=1, max_size=3)
+_SQUARES = st.lists(st.floats(0.0, 400.0), min_size=1, max_size=8)
+
+
+@given(d=st.sampled_from((1, 2, 3, 6, 8, 16)), a=_PAIRS, b=_PAIRS, convolve=st.booleans(),
+       laplacian=st.booleans(), r2=_SQUARES, q2=_SQUARES)
+def test_closed_forms_stay_inside_their_decay_envelopes(d, a, b, convolve, laplacian, r2, q2):
+    # the envelopes set every truncation radius (auto_cutoff, _lattice_radius);
+    # products, not ratios, because the envelope underflows, and below the
+    # smallest normal float rounding is absolute (tiny), not relative
+    f = RadialFunction.mixture(d, a)
+    if convolve:
+        f = f.convolve(RadialFunction.mixture(d, b))
+    if laplacian:
+        f = f.laplacian()
+    r2, q2, tiny = np.array(r2), np.array(q2), np.finfo(float).tiny
+    (amp, var), (famp, fvar) = f.decay, f.fourier_decay
+    assert np.all(np.abs(f.profile(r2)) <= amp * np.exp(-r2 / (2 * var)) * (1 + 1e-12) + tiny)
+    assert np.all(np.abs(f.fourier(q2)) <= famp * np.exp(-q2 * fvar / 2) * (1 + 1e-12) + tiny)
 
 
 @given(k=st.integers(0, 15), x=st.floats(1e-3, 100.0))

@@ -68,40 +68,54 @@ def test_gaussians_refuse_a_non_finite_variance_or_weight(bad):
             RadialFunction.mixture(3, pairs)
 
 
-def test_fourier_pair_cross_check_rejects_mismatch():
-    # evaluation says variance 1, transform claims variance 2: the built-in
-    # Hankel quadrature must catch the lie at construction
-    d = 3
+def assert_fourier_pair(f):
+    """nu_hat(q) must match the Hankel-transform quadrature
+    (2 pi)^{d/2} q^{1-d/2} * int_0^inf profile(r^2) J_{d/2-1}(q r) r^{d/2} dr
+    at two probe frequencies, to 1e-6 relative."""
+    from scipy.integrate import quad
+    from scipy.special import jv
 
-    def profile(r2):
-        return (TWO_PI * 1.0) ** (-d / 2) * np.exp(-np.asarray(r2) / 2.0)
-
-    def wrong(q2):
-        return np.exp(-np.asarray(q2) * 2.0 / 2.0)
-
-    with pytest.raises(ContractError, match="Fourier pair"):
-        RadialFunction(dim=d, profile=profile, fourier=wrong,
-                       decay=(0.1, 1.0), fourier_decay=(1.0, 2.0))
+    d = f.dim
+    amp, var = f.decay
+    r_max = math.sqrt(max(2 * var * math.log(max(amp, 1.0) / 1e-16 + 10.0), 9.0)) + 8.0
+    order = d / 2 - 1
+    for q in (0.8, 1.7):
+        val, _ = quad(
+            lambda r: float(f.profile(np.array([r * r]))[0]) * jv(order, q * r) * r ** (d / 2),
+            0.0, r_max, limit=400, epsabs=1e-12, epsrel=1e-10,
+        )
+        direct = TWO_PI ** (d / 2) * q ** (1 - d / 2) * val
+        expected = float(np.asarray(f.fourier(np.array([q * q])))[0])
+        assert abs(direct - expected) <= 1e-6 * max(abs(expected), 1e-8), (d, q, direct, expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 16])
 def test_closed_forms_pass_the_fourier_pair_check(d):
-    # the closed forms skip the Hankel quadrature at construction; run it here
+    # profile and transform are separate closed forms; a quadrature ties them
     forms = [RadialFunction.gaussian(d, 0.05), RadialFunction.gaussian(d, 2.5),
              RadialFunction.mixture(d, [(0.6, 0.3), (0.4, 1.7)]),
              RadialFunction.mixture(d, [(1.5, 0.1), (-0.5, 0.9)])]
     forms.append(forms[2].convolve(forms[3]))
     forms += [f.laplacian() for f in list(forms)]
     for f in forms:
-        f._check_fourier_pair()
+        assert_fourier_pair(f)
 
 
 def test_closed_forms_and_cli_never_import_scipy():
-    # scipy is needed only to check a Fourier pair that a caller supplies
+    # scipy is a test dependency only: no route of the package loads it
     script = (
-        "import os, sys, wrapkit, wrapkit.cli\n"
+        "import os, sys, numpy as np, wrapkit, wrapkit.cli\n"
         "assert wrapkit.cli.main(['catalog', '--out', os.devnull]) == 0\n"
-        "wrapkit.RadialFunction.gaussian(3, 0.5).laplacian()\n"
+        "g = wrapkit.make_group('su2')\n"
+        "nu = wrapkit.RadialFunction.gaussian(3, 0.5)\n"
+        "nu.laplacian()\n"
+        "wrapkit.wrap_lattice(g, nu, [1.0])\n"
+        "wrapkit.auto_cutoff(g, nu, 1e-10)\n"
+        "assert wrapkit.auto_kernel(g, [1.0], 0.1)[1] == 'wrapped'\n"
+        "assert wrapkit.auto_kernel(g, [1.0], 0.5)[1] == 'spectral'\n"
+        "wrapkit.fourier_coefficients(g, lambda H: np.ones(len(H)), 2.25)\n"
+        "cfg = wrapkit.SdeConfig(group=g, t=0.1, step=0.01, paths=200, seed=1)\n"
+        "wrapkit.mc_expect_central(lambda H: np.ones(len(H)), cfg)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = dict(os.environ)
@@ -141,11 +155,11 @@ def test_laplacian_against_finite_differences():
 
 
 def test_laplacian_needs_mixture_form():
-    bare = RadialFunction(dim=2, profile=lambda r2: np.exp(-np.asarray(r2)))
+    lap = RadialFunction.gaussian(2, 1.0).laplacian()
     with pytest.raises(ContractError, match="mixture"):
-        bare.laplacian()
-    with pytest.raises(ContractError, match="Fourier"):
-        wrap_spectral(make_group("torus2"), bare, 4.0)
+        lap.laplacian()
+    with pytest.raises(ContractError, match="mixture"):
+        lap.convolve(RadialFunction.gaussian(2, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -308,20 +322,16 @@ def test_wrap_lattice_rejects_lying_decay_bound():
     # the truncation radius leaves real mass in the outermost ring; the ring
     # check must trip instead of returning a silently truncated sum
     d = 3
-
-    def profile(r2):
-        return (TWO_PI * 30.0) ** (-d / 2) * np.exp(-np.asarray(r2) / 60.0)
-
-    liar = RadialFunction(dim=d, profile=profile,
-                          decay=((TWO_PI * 30.0) ** (-d / 2), 2.0))
+    liar = RadialFunction.gaussian(d, 30.0)
+    liar.decay = ((TWO_PI * 30.0) ** (-d / 2), 2.0)
     with pytest.raises(InstabilityError, match="ring"):
         wrap_lattice(make_group("su2"), liar, [3.0])
 
 
 def test_wrap_lattice_rejects_a_nan_ring():
     # a NaN ring mass compares false against tol/5: the check fails closed
-    nan = RadialFunction(dim=3, profile=lambda r2: np.full_like(np.asarray(r2, float), np.nan),
-                         decay=(1.0, 1.0))
+    nan = RadialFunction.gaussian(3, 0.5)
+    nan.profile = lambda r2: np.full_like(np.asarray(r2, float), np.nan)
     with pytest.raises(InstabilityError, match="ring"):
         wrap_lattice(make_group("su2"), nan, [1.0])
 
@@ -331,8 +341,11 @@ def test_wrap_lattice_input_validation():
     nu = RadialFunction.gaussian(3, 0.5)
     with pytest.raises(DomainError):
         wrap_lattice(su2, nu, [0.4, 0.5])
-    with pytest.raises(DomainError):
-        wrap_lattice(su2, nu, [0.4], tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            wrap_lattice(su2, nu, [0.4], tol=tol)
+        with pytest.raises(DomainError, match="tol must be positive and finite"):
+            auto_cutoff(su2, nu, tol)
 
 
 def test_auto_cutoff_tightens_with_tolerance():
@@ -346,8 +359,6 @@ def test_auto_cutoff_tightens_with_tolerance():
     f_hi = wrap_spectral(su2, nu, 2.0 * tight)
     pts = alcove_points(su2, 8)
     assert np.max(np.abs(f_lo.evaluate(pts) - f_hi.evaluate(pts))) < 1e-12
-    with pytest.raises(ContractError):
-        auto_cutoff(su2, RadialFunction(dim=3, profile=nu.profile), 1e-8)
 
 
 def test_auto_cutoff_enumerates_no_weights(monkeypatch):
