@@ -43,7 +43,6 @@ from .errors import (
     DomainError,
     InstabilityError,
     ResourceLimitError,
-    SingularityError,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -277,9 +276,11 @@ class _IntegerForms:
         return np.all(c @ self.simple[:-1] >= 0, axis=1)
 
     def dimensions(self, c: np.ndarray) -> np.ndarray:
-        """Exact Weyl products, in int64; raises rather than wrap or round."""
+        """Exact Weyl products in int64; raises rather than wrap or round.  A float
+        product screens each row, and rows within 2^-40 of 2^63 are redone exactly."""
         pairs = c @ self.roots[:-1] + self.roots[-1]
-        if len(c) and math.prod(int(x) for x in np.abs(pairs).max(axis=0)) >= 2**63:
+        near = np.abs(pairs).astype(float).prod(axis=1) >= 2.0**63 * (1 - 2.0**-40)
+        if any(math.prod(abs(x) for x in row) >= 2**63 for row in pairs[near].tolist()):
             raise InstabilityError(f"{self.name}: Weyl dimension overflows int64")
         dims, rest = np.divmod(pairs.prod(axis=1), self.rho_prod)
         if np.any(rest):
@@ -751,20 +752,45 @@ def _axis_stretch(g: GroupSpec, basis: str, dominant: bool) -> tuple[float, ...]
     return tuple(float(n) for n in np.linalg.norm(np.linalg.inv(b).T, axis=1))
 
 
-def _scan_box(g: GroupSpec, basis: str, reach: float, dominant: bool, cap: int,
-              what: str, knob: str) -> np.ndarray:
-    """Integer coordinates k (int64 rows) of a box that holds every k with
-    ||k @ basis|| <= reach, and k >= 0 when ``dominant``: |k_i| <= reach * c_i
-    + 1 per axis (see ``_axis_stretch``).  A box above ``cap`` rows raises."""
-    bound = [math.ceil(reach * c) + 1 for c in _axis_stretch(g, basis, dominant)]
-    lo = [0] * g.rank if dominant else [-b for b in bound]
-    sides = [b + 1 - a for b, a in zip(bound, lo)]
-    if math.prod(sides) > cap:
+def _scan_bound(g: GroupSpec, basis: str, reach: float, dominant: bool, cap: int,
+                what: str, knob: str) -> tuple[int, ...]:
+    """Per-axis bounds b of a box that holds every k with ||k @ basis|| <= reach,
+    and k >= 0 when ``dominant``: |k_i| <= b_i = reach * c_i + 1, rounded up
+    (see ``_axis_stretch``).  A box above ``cap`` rows raises."""
+    bound = tuple(math.ceil(reach * c) + 1 for c in _axis_stretch(g, basis, dominant))
+    rows = math.prod(b + 1 if dominant else 2 * b + 1 for b in bound)
+    if rows > cap:
         raise ResourceLimitError(
-            f"{g.name}: {what} scan would visit {math.prod(sides)} "
-            f"candidates (cap {cap}); lower the {knob}"
+            f"{g.name}: {what} scan would visit {rows} candidates (cap {cap}); lower the {knob}"
         )
-    return np.indices(sides, dtype=np.int64).reshape(g.rank, -1).T + lo
+    return bound
+
+
+@lru_cache(maxsize=32)
+def _lattice_box(g: GroupSpec, bound) -> tuple[np.ndarray, np.ndarray]:
+    """(k, k @ gamma_basis) on the box of ``bound``; a row's bits do not depend on
+    the box.  Only boxes of at most 2^12 entries (64 KiB) go through the cache."""
+    k = np.indices([2 * b + 1 for b in bound], dtype=np.int64).reshape(g.rank, -1).T - bound
+    return k, k @ g.gamma_basis
+
+
+def _lattice_scan(g: GroupSpec, centers: np.ndarray, radii: np.ndarray):
+    """The one lattice scan: (owner, gammas, d2), d2 = ||centers[owner] + gamma||^2
+    <= radii[owner]^2, sorted by owner, d2, integer coordinates, from one box holding
+    every ball; blocks of points keep each (points, box) array within 2^17 entries."""
+    reach = max((r + math.sqrt(c.dot(c)) for c, r in zip(centers, radii.tolist())), default=0.0)
+    bound = _scan_bound(g, "gamma_basis", reach, False, LATTICE_CAP, "lattice", "radius")
+    cached = math.prod(2 * b + 1 for b in bound) * g.rank <= 2**12
+    k, gams = (_lattice_box if cached else _lattice_box.__wrapped__)(g, bound)
+    step, hits = max(1, 2**17 // len(k)), []
+    for i in range(0, max(len(centers), 1), step):
+        d2 = ((centers[i:i + step, None, :] + gams) ** 2).sum(axis=-1)
+        at = np.flatnonzero(d2 <= radii[i:i + step, None] ** 2 + 1e-12)
+        hits.append((at + i * len(k), d2.ravel()[at]))
+    at, d2 = hits[0] if len(hits) == 1 else map(np.concatenate, zip(*hits))
+    owner, rows = np.divmod(at, len(k))
+    order = np.lexsort((*k[rows].T[::-1], d2, owner))
+    return owner[order], gams[rows[order]], d2[order]
 
 
 def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
@@ -777,8 +803,12 @@ def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
     limit = math.floor(Fraction(cutoff) * g._ints.scale)
     table = g._ints.table
     if table is None or table[0] < limit:
-        c = _scan_box(g, "weight_basis", math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq),
-                      not g.is_abelian, WEIGHT_CAP, "weight", "cutoff")
+        dominant = not g.is_abelian
+        bound = _scan_bound(g, "weight_basis", math.sqrt(cutoff) + math.sqrt(g.rho_norm_sq),
+                            dominant, WEIGHT_CAP, "weight", "cutoff")
+        lo = [0 if dominant else -b for b in bound]
+        sides = [b + 1 - a for b, a in zip(bound, lo)]
+        c = np.indices(sides, dtype=np.int64).reshape(g.rank, -1).T + lo
         norms = g._ints.norms(c)
         keep = np.flatnonzero((norms <= limit) & g._ints.dominant(c))
         order = keep[np.lexsort((*c[keep].T[::-1], norms[keep]))]
@@ -789,18 +819,15 @@ def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
 
 def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:
     """All gamma in Gamma with ||center + gamma|| <= radius, as a (K, rank)
-    array sorted by distance (ties by integer coordinates)."""
+    array sorted by distance (ties by integer coordinates).  This is the
+    one-center case of ``_lattice_scan``, which ``wrapping.wrap_lattice`` runs
+    once per batch: one integer box serves every point, each with its own radius."""
     center = np.asarray(center, dtype=float)
-    if center.shape != (g.rank,):
-        raise DomainError(f"{g.name}: center needs {g.rank} coordinates")
-    if radius < 0:
-        raise DomainError("radius must be nonnegative")
-    k = _scan_box(g, "gamma_basis", radius + float(np.linalg.norm(center)), False,
-                  LATTICE_CAP, "lattice", "radius")
-    gams = k @ g.gamma_basis
-    d2 = np.sum((center + gams) ** 2, axis=1)
-    keep = np.flatnonzero(d2 <= radius * radius + 1e-12)
-    return gams[keep[np.lexsort((*k[keep].T[::-1], d2[keep]))]]
+    if center.shape != (g.rank,) or not np.isfinite(center).all():
+        raise DomainError(f"{g.name}: center needs {g.rank} finite coordinates")
+    if not 0 <= radius < math.inf:  # NaN fails too
+        raise DomainError("radius must be nonnegative and finite")
+    return _lattice_scan(g, center[None, :], np.array([float(radius)]))[1]
 
 
 def dual_index(g: GroupSpec, xi) -> np.ndarray:

@@ -95,10 +95,7 @@ def wrapped_heat_kernel(g: GroupSpec, H, t: float, tol: float = 1e-10):
     """Shifted heat kernel by the geodesic route: the group volume times the
     lattice sum of the dim-G Gaussian over H + Gamma divided by j."""
     _check_positive_finite(t=t, tol=tol)
-    nu = RadialFunction.gaussian(g.dim, t)
-    pts, single = _as_points(g, H)
-    vals = np.array([wrap_lattice(g, nu, p, tol) for p in pts])
-    return float(vals[0]) if single else vals
+    return wrap_lattice(g, RadialFunction.gaussian(g.dim, t), H, tol)
 
 
 def preferred_route(g: GroupSpec, H, t: float) -> str:
@@ -118,15 +115,9 @@ def auto_kernel(g: GroupSpec, H, t: float, tol: float = 1e-10):
     is authoritative.  Returns (values, route_name).
     """
     pts, single = _as_points(g, H)
-    if preferred_route(g, pts, t) == "wrapped":
-        vals = wrapped_heat_kernel(g, pts, t, tol)
-        route = "wrapped"
-    else:
-        vals = spectral_heat_kernel(g, pts, t, True, tol)
-        route = "spectral"
-    if single:
-        vals = float(np.atleast_1d(vals)[0])
-    return vals, route
+    route = preferred_route(g, pts, t)
+    vals = (wrapped_heat_kernel if route == "wrapped" else spectral_heat_kernel)(g, pts, t, tol=tol)
+    return (float(vals[0]) if single else vals), route
 
 
 def semigroup_gap(

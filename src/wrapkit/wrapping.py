@@ -44,11 +44,12 @@ from .groups import (
     alcove_points,
     as_real_checked,
     TWO_PI,
+    _as_points,
     _frequencies,
+    _lattice_scan,
     cell_grid,
     enumerate_weights,
     j_compact,
-    lattice_points,
     wall_distance,
     weyl_denominator,
 )
@@ -307,14 +308,16 @@ def auto_cutoff(g: GroupSpec, nu: RadialFunction, tol: float) -> float:
     return _tail_radius(g, "weight_basis", 2 * g.n_positive_roots, 1.0 / fvar, target) ** 2
 
 
-def _lattice_radius(g: GroupSpec, nu: RadialFunction, center: np.ndarray, tol: float) -> float:
-    """One ring width past the R whose terms beyond hold <= tol/10 of |nu/j| g.volume:
-    each is <= amp ||x||^m e^{-||x||^2 / (2 var)} / (2 wall distance)^m, since
-    |sin(alpha(H + gamma)/2)| = |sin(alpha(H)/2)| and |alpha(x)/2| <= ||x||/2."""
-    amp, var = nu.decay
-    wd = max(float(wall_distance(g, center)), 1e-12)
-    target = tol / 10.0 * (2.0 * wd) ** g.n_positive_roots / (g.volume * amp)
-    return _tail_radius(g, "gamma_basis", g.n_positive_roots, var, target) + _ring_width(g)
+def _lattice_radius(g: GroupSpec, nu: RadialFunction, H, tol: float):
+    """Per point of H (an array for a batch), one ring width past the R whose
+    terms beyond hold <= tol/10 of |nu/j| g.volume: each is <= amp ||x||^m
+    e^{-||x||^2 / (2 var)} / (2 wall distance)^m, since |sin(alpha(H + gamma)/2)|
+    = |sin(alpha(H)/2)| and |alpha(x)/2| <= ||x||/2."""
+    (amp, var), m, walls = nu.decay, g.n_positive_roots, wall_distance(g, H)
+    radii = np.array([_tail_radius(g, "gamma_basis", m, var,
+                                   tol / 10.0 * (2.0 * max(wd, 1e-12)) ** m / (g.volume * amp))
+                      for wd in np.atleast_1d(walls).tolist()])
+    return radii + _ring_width(g) if np.ndim(walls) else float(radii[0] + _ring_width(g))
 
 
 @lru_cache(maxsize=None)
@@ -322,44 +325,49 @@ def _ring_width(g: GroupSpec) -> float:
     return 1.25 * float(np.max(np.linalg.norm(g.gamma_basis, axis=1)))
 
 
-def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10) -> float:
-    """Geodesic form of the transported function at a regular torus point:
-    group volume times the lattice sum of nu / j over H + Gamma.
-
-    The truncation radius comes from the decay bound; the outermost ring of
-    included terms is checked to be below tol/5 so a mis-declared bound
-    cannot pass silently.  A translate with |j| <= 1e-12 (a conjugate-point
-    wall) raises SingularityError naming the offending lattice vector.
-    """
+def wrap_lattice(g: GroupSpec, nu: RadialFunction, H, tol: float = 1e-10):
+    """Geodesic form of the transported function at regular torus point(s), a
+    float for one point and an array for a (P, rank) batch: group volume times
+    the lattice sum of nu / j over H + Gamma.  Each point's radius comes from
+    the decay bound and one integer box serves the batch; each point's outer
+    ring of included terms must hold below tol/5, so a mis-declared bound cannot
+    pass silently.  A translate with |j| <= 1e-12 (a conjugate-point wall) raises
+    SingularityError naming its lattice vector.  A batch raises what its first
+    failing point raises alone."""
     if nu.dim != g.dim:
         raise DomainError(
             f"radial function lives on R^{nu.dim}, group {g.name} needs R^{g.dim}"
         )
     _check_positive_finite(tol=tol)
-    center = np.asarray(H, dtype=float)
-    if center.shape != (g.rank,):
-        raise DomainError(f"{g.name}: torus point needs {g.rank} coordinates")
-    radius = _lattice_radius(g, nu, center, tol)
-    gams = lattice_points(g, center, radius)
-    pts = center[None, :] + gams
-    jv_ = j_compact(g, pts)
-    small = np.abs(jv_) <= _J_FLOOR
-    if np.any(small):
-        k = int(np.argmax(small))
-        raise SingularityError(
-            f"{g.name}: j vanishes at H + gamma for gamma = {gams[k].tolist()} "
-            f"(singular torus point)"
-        )
-    terms = nu.profile(np.sum(pts * pts, axis=1)) / jv_
-    ring = np.linalg.norm(pts, axis=1) > radius - _ring_width(g)
-    ring_mass = float(np.sum(np.abs(terms[ring]))) * g.volume
-    if not ring_mass <= tol / 5.0 and len(terms) > len(terms[ring]):  # NaN fails too
-        raise InstabilityError(
-            f"{g.name}: lattice truncation ring holds {ring_mass:.3e} > tol/5; "
-            f"decay bound too optimistic"
-        )
-    # fixed enumeration order keeps the reduction bit-stable
-    return g.volume * float(np.sum(terms))
+    pts, single = _as_points(g, H)
+    try:
+        radii = _lattice_radius(g, nu, pts, tol)
+        owner, gams, d2 = _lattice_scan(g, pts, radii)
+        jv_ = j_compact(g, pts[owner] + gams)
+        small = np.abs(jv_) <= _J_FLOOR
+        if np.any(small):
+            raise SingularityError(
+                f"{g.name}: j vanishes at H + gamma for gamma = {gams[np.argmax(small)].tolist()} "
+                f"(singular torus point)"
+            )
+        terms = nu.profile(d2) / jv_
+        ring = np.sqrt(d2) > radii[owner] - _ring_width(g)
+        edges = np.searchsorted(owner, np.arange(len(pts) + 1)).tolist()
+        out = []
+        for a, b in zip(edges, edges[1:]):
+            ring_mass = float(np.abs(terms[a:b][ring[a:b]]).sum()) * g.volume
+            if not ring_mass <= tol / 5.0 and not ring[a:b].all():  # NaN fails too
+                raise InstabilityError(
+                    f"{g.name}: lattice truncation ring holds {ring_mass:.3e} > tol/5; "
+                    f"decay bound too optimistic"
+                )
+            # fixed enumeration order keeps the reduction bit-stable
+            out.append(g.volume * float(terms[a:b].sum()))
+    except Exception:
+        for p in pts if len(pts) > 1 else ():
+            wrap_lattice(g, nu, p, tol)   # the first failing point raises its own error
+        raise
+    return out[0] if single else np.array(out)
 
 
 # ---------------------------------------------------------------------------

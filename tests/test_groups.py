@@ -194,6 +194,27 @@ def test_weyl_dimensions_products():
     assert weyl_dimension(make_group("torus2"), (5, -3)) == 1
 
 
+def _su_dimension(labels):
+    """Weyl's formula for su(n) in Dynkin labels, in Python integers."""
+    n = len(labels) + 1
+    num = den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= sum(a + 1 for a in labels[i:j])
+            den *= j - i
+    return num // den
+
+
+def test_weyl_dimension_guard_bounds_each_row():
+    # each row's Weyl product is just below 2^63, while the product of the
+    # column maxima (taken from different rows) is 2.3e26
+    su5 = make_group("su5")
+    rows = np.array([[527, 0, 0, 0], [0, 0, 0, 527]], dtype=np.int64)
+    assert su5._ints.dimensions(rows).tolist() == [_su_dimension((527, 0, 0, 0))] * 2
+    # a row whose own product reaches 2^63 still raises
+    with pytest.raises(InstabilityError, match="overflows int64"):
+        su5._ints.dimensions(np.array([[1, 1, 1, 1], [528, 0, 0, 0]], dtype=np.int64))
+
 def test_weight_norms():
     su2 = make_group("su2")
     for k in range(5):

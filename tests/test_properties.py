@@ -301,6 +301,21 @@ def test_lattice_terms_past_the_bound_radius_are_below_a_tenth_of_tol(name, t, l
     assert mass <= tol / 10.0
 
 
+@settings(deadline=None)  # every new t builds its Gaussian
+@given(name=st.sampled_from(ALL_GROUPS), t=st.floats(0.05, 2.0), data=st.data())
+def test_a_batch_gives_each_point_the_bits_of_a_one_point_call(name, t, data):
+    # one box and one sort serve a batch; no point's value may depend on the
+    # other points, their number, their order or their repeats
+    g = make_group(name)
+    row = st.lists(st.floats(-8.0, 8.0), min_size=g.rank, max_size=g.rank)
+    distinct = np.array(data.draw(st.lists(row, min_size=1, max_size=12)))
+    distinct = distinct[wall_distance(g, distinct) > 1e-2]
+    assume(len(distinct))
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    batch = distinct[picks]
+    alone = np.array([wrapped_heat_kernel(g, p, t) for p in batch])
+    assert np.array_equal(wrapped_heat_kernel(g, batch, t).view(np.int64), alone.view(np.int64))
+
 _PAIRS = st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 10.0)), min_size=1, max_size=3)
 _SQUARES = st.lists(st.floats(0.0, 400.0), min_size=1, max_size=8)
 

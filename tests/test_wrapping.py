@@ -5,6 +5,8 @@ sums and shifted Gaussian sums with local literals); everything else is
 checked through identities that hold in exact arithmetic.
 """
 
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -21,14 +23,17 @@ from wrapkit import (
     DomainError,
     InstabilityError,
     RadialFunction,
+    ResourceLimitError,
     SingularityError,
     alcove_points,
     auto_cutoff,
     convolve_central,
     fourier_coefficients,
+    j_compact,
     laplacian_spectral,
     make_group,
     spectral_heat_kernel,
+    wall_distance,
     weight,
     wrap_lattice,
     wrap_spectral,
@@ -36,6 +41,7 @@ from wrapkit import (
     wrapped_heat_kernel,
     wrapping_formula_check,
 )
+from wrapkit.wrapping import _ring_width, _tail_radius
 
 TWO_PI = 2.0 * math.pi
 
@@ -369,3 +375,107 @@ def test_auto_cutoff_enumerates_no_weights(monkeypatch):
     for name in ("torus2", "su2", "so3", "su2xsu2", "su3", "su4"):
         g = make_group(name)
         assert auto_cutoff(g, RadialFunction.gaussian(g.dim, 0.1), 1e-10) > g.rho_norm_sq
+
+
+# ---------------------------------------------------------------------------
+# one lattice scan per batch
+# ---------------------------------------------------------------------------
+
+def per_point_lattice_sum(g, nu, H, tol=1e-10):
+    """The lattice route one point at a time, as it ran before batching: the
+    point's own radius, its own integer box sorted by (distance, integer
+    coordinates), then j, the profile and one np.sum over its terms."""
+    center = np.asarray(H, dtype=float)
+    amp, var = nu.decay
+    wd = max(float(wall_distance(g, center)), 1e-12)
+    target = tol / 10.0 * (2.0 * wd) ** g.n_positive_roots / (g.volume * amp)
+    radius = _tail_radius(g, "gamma_basis", g.n_positive_roots, var, target) + _ring_width(g)
+    reach = radius + float(np.linalg.norm(center))
+    stretch = np.linalg.norm(np.linalg.inv(g.gamma_basis).T, axis=1)
+    bound = [math.ceil(reach * float(c)) + 1 for c in stretch]
+    k = np.indices([2 * b + 1 for b in bound], dtype=np.int64).reshape(g.rank, -1).T - bound
+    gams = k @ g.gamma_basis
+    d2 = np.sum((center + gams) ** 2, axis=1)
+    keep = np.flatnonzero(d2 <= radius * radius + 1e-12)
+    pts = center[None, :] + gams[keep[np.lexsort((*k[keep].T[::-1], d2[keep]))]]
+    terms = nu.profile(np.sum(pts * pts, axis=1)) / j_compact(g, pts)
+    return g.volume * float(np.sum(terms))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("name", GROUPS)
+def test_batched_lattice_sum_keeps_the_per_point_bits(name, t):
+    g = make_group(name)
+    nu = RadialFunction.gaussian(g.dim, t)
+    for n in (20, 200):
+        pts = alcove_points(g, n)
+        reference = [per_point_lattice_sum(g, nu, p) for p in pts]
+        assert same_bits(wrapped_heat_kernel(g, pts, t), reference)
+
+
+@pytest.mark.parametrize("name", ["su2", "su3"])
+def test_batched_lattice_sum_of_a_laplacian_keeps_the_per_point_bits(name):
+    g = make_group(name)
+    nu = RadialFunction.gaussian(g.dim, 0.4).laplacian()
+    for n in (20, 200):
+        pts = alcove_points(g, n)
+        assert same_bits(wrap_lattice(g, nu, pts), [per_point_lattice_sum(g, nu, p) for p in pts])
+
+
+def raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_a_batch_raises_what_its_first_failing_point_raises():
+    su2 = make_group("su2")
+    nu = RadialFunction.gaussian(3, 0.5)
+    # a singular point after regular ones names the gamma it names alone
+    alone = raised(lambda: wrap_lattice(su2, nu, [TWO_PI]))
+    assert alone[0] is SingularityError
+    assert raised(lambda: wrap_lattice(su2, nu, [[1.0], [2.0], [TWO_PI], [3.0]])) == alone
+    # the lying decay bound fails at every point, each with its own ring mass
+    liar = RadialFunction.gaussian(3, 30.0)
+    liar.decay = ((TWO_PI * 30.0) ** (-1.5), 2.0)
+    alone = raised(lambda: wrap_lattice(su2, liar, [3.0]))
+    assert alone[0] is InstabilityError
+    assert raised(lambda: wrap_lattice(su2, liar, [[3.0], [1.0], [2.0]])) == alone
+    # a ring failure before a singular point wins, as it did point by point
+    assert raised(lambda: wrap_lattice(su2, liar, [[3.0], [TWO_PI]])) == alone
+    # the last point alone needs a box over LATTICE_CAP
+    t2 = make_group("torus2")
+    flat = RadialFunction.gaussian(2, 0.5)
+    alone = raised(lambda: wrap_lattice(t2, flat, [1e5, 0.0]))
+    assert alone[0] is ResourceLimitError
+    assert raised(lambda: wrap_lattice(t2, flat, [[0.1, 0.2], [0.3, 0.4], [1e5, 0.0]])) == alone
+
+
+def test_an_empty_batch_gives_an_empty_array():
+    for name in GROUPS:
+        g = make_group(name)
+        empty = np.zeros((0, g.rank))
+        assert wrap_lattice(g, RadialFunction.gaussian(g.dim, 0.5), empty).shape == (0,)
+        assert wrapped_heat_kernel(g, empty, 0.5).shape == (0,)
+
+
+def test_wrapped_heat_kernel_builds_one_box_per_call(monkeypatch):
+    built = []
+    scan_bound = wrapkit.groups._scan_bound
+    monkeypatch.setattr(wrapkit.groups, "_scan_bound",
+                        lambda g, basis, *rest: built.append(basis) or scan_bound(g, basis, *rest))
+    for name in GROUPS:
+        g = make_group(name)
+        pts = alcove_points(g, 20)
+        built.clear()
+        wrapped_heat_kernel(g, pts, 0.1)
+        assert built == ["gamma_basis"]
+    # and no loop or comprehension over the points comes back
+    tree = ast.parse(inspect.getsource(wrapkit.heat.wrapped_heat_kernel))
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
