@@ -211,10 +211,8 @@ def _cmd_wrap(eff: dict) -> tuple:
     nu = RadialFunction.mixture(g.dim, _parse_mixture(eff["mixture"]))
     cutoff = auto_cutoff(g, nu, eff["tol"]) if eff["cutoff"] is None else eff["cutoff"]
     f = wrap_spectral(g, nu, cutoff)
-    rows = [
-        (";".join(str(c) for c in w.coords), w.dimension, f.coeffs[w])
-        for w in f._sorted_weights()
-    ]
+    rows = [(";".join(map(str, k)), d, c)
+            for k, d, c in zip(f.coords.tolist(), f.dimensions.tolist(), f.values.tolist())]
     return (["weight", "dimension", "coefficient"], rows,
             [("effective_cutoff", float(cutoff)), ("terms", len(rows))])
 

@@ -12,9 +12,9 @@ superset 2*pi*Z for so3).
 
 Construction runs in three layers.  A rational layer (Fractions in
 lattice-adapted ambient coordinates, a diagonal metric) generates the Weyl
-group as the closure of the simple reflections, signs by word-length parity,
-and checks the structural invariants exactly: strict positivity of
-<rho, alpha>, integrality of the pairings between the weight lattice and the
+group as the closure of the simple reflections, integer matrices there,
+signs by word-length parity, and checks the structural invariants exactly:
+strict positivity of <rho, alpha>, integrality of the pairings between the weight lattice and the
 exponential kernel lattice, Weyl determinants equal to those signs, and the
 dimension count dim = rank + 2 * #positive_roots.  An integer layer (that
 data times the lcm of its denominators) enumerates and measures weights by
@@ -74,16 +74,7 @@ def _dot(gram, u, v) -> Fraction:
 
 
 # Weyl matrices are sparse (permutations, block diagonal on products), so
-# both skip zero entries
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), Fraction(0))
-              for j in range(n))
-        for i in range(n)
-    )
-
-
+# the expansion skips zero entries
 def _det(m) -> Fraction:
     n = len(m)
     if n == 1:
@@ -194,29 +185,31 @@ def _raw_product(name: str, parts: list[_RawGroup]) -> _RawGroup:
 
 def _weyl_group(raw: _RawGroup) -> tuple:
     """W as the closure of the simple reflections s_a = I - 2 a a^T G / <a, a>_G,
-    each element with its sign (-1)^length, sorted by descending flattened
-    entries.  Raises if the closure outgrows _WEYL_CAP (simple roots that do
-    not span a finite reflection group)."""
+    closed in int64 matrices keyed by their bytes (a reflection with a non-integral
+    entry raises), each element with its sign (-1)^length, sorted by descending
+    flattened entries.  Raises if the closure outgrows _WEYL_CAP (simple roots
+    that do not span a finite reflection group)."""
     n = raw.ambient
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     gens = []
     for a in raw.simple_roots:
         k = 2 / _dot(raw.gram, a, a)
-        gens.append(tuple(tuple(eye[i][j] - k * a[i] * a[j] * raw.gram[j] for j in range(n))
-                          for i in range(n)))
-    signs = {eye: 1}
-    todo = [eye]
+        s = [int(i == j) - k * a[i] * a[j] * raw.gram[j] for i in range(n) for j in range(n)]
+        if any(x.denominator != 1 for x in s):
+            raise InstabilityError(f"{raw.name}: simple reflection not integral")
+        gens.append(np.array(s, dtype=np.int64).reshape(n, n))
+    eye = np.eye(n, dtype=np.int64)
+    found = {eye.tobytes(): (eye, 1)}
+    todo = [(eye, 1)]
     while todo:
-        m = todo.pop()
+        m, sign = todo.pop()
         for s in gens:
-            w = _matmul(s, m)
-            if w not in signs:
-                signs[w] = -signs[m]
-                todo.append(w)
-        if len(signs) > _WEYL_CAP:
+            w = s @ m
+            if w.tobytes() not in found:
+                todo.append(found.setdefault(w.tobytes(), (w, -sign)))
+        if len(found) > _WEYL_CAP:
             raise InstabilityError(f"{raw.name}: Weyl group exceeds {_WEYL_CAP} elements")
-    return tuple(sorted(signs.items(), key=lambda ms: [x for row in ms[0] for x in row],
-                        reverse=True))
+    return tuple(sorted(((tuple(map(tuple, m.tolist())), sign) for m, sign in found.values()),
+                        key=lambda ms: [x for row in ms[0] for x in row], reverse=True))
 
 
 def _validate_raw(raw: _RawGroup, weyl: tuple) -> None:
@@ -249,8 +242,8 @@ class _IntegerForms:
     with rows (weight generators, rho).  For coordinates c and h = (c, 1):
     h.gram.h = scale * ||lambda + rho||^2; c @ simple[:-1] >= 0 iff dominant;
     prod(h @ roots) / rho_prod is the Weyl dimension.  ``table`` = (limit,
-    scaled norms, weights) for the largest cutoff so far, replaced whole and
-    never edited."""
+    coordinates, scaled norms, Weyl dimensions) for the largest cutoff so far,
+    read-only arrays replaced whole and never edited."""
 
     def __init__(self, raw: _RawGroup):
         rows = raw.weight_gens + (raw.rho,)
@@ -490,11 +483,12 @@ def _coord_rows(g: GroupSpec, coords) -> np.ndarray:
     return np.array([coords], dtype=np.int64)
 
 
-def _make_weights(g: GroupSpec, c: np.ndarray, norms: np.ndarray) -> list[Weight]:
+def _make_weights(g: GroupSpec, c: np.ndarray) -> list[Weight]:
+    """``Weight`` objects for the (L, rank) coordinate rows ``c``."""
     f = g._ints
     return [
         Weight(g.name, tuple(k), int(d), float(nq / f.scale), int(nq))
-        for k, d, nq in zip(c.tolist(), f.dimensions(c), norms)
+        for k, d, nq in zip(c.tolist(), f.dimensions(c), f.norms(c))
     ]
 
 
@@ -503,7 +497,7 @@ def weight(g: GroupSpec, coords) -> Weight:
     c = _coord_rows(g, coords)
     if not g._ints.dominant(c)[0]:
         raise DomainError(f"{g.name}: coordinates {tuple(c[0].tolist())} are not dominant")
-    return _make_weights(g, c, g._ints.norms(c))[0]
+    return _make_weights(g, c)[0]
 
 
 def weyl_dimension(g: GroupSpec, coords) -> int:
@@ -591,12 +585,18 @@ def _weyl_on_indices(g: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
     return maps.reshape(g.rank, -1), dual_index(g, g._weyl_mats @ g.rho - g.rho)
 
 
-def _frequencies(g: GroupSpec, weights: list[Weight]) -> tuple[np.ndarray, int]:
+def _weight_coords(g: GroupSpec, weights) -> np.ndarray:
+    """(L, rank) int64 rows: an array as given, a list of ``Weight``s by coords."""
+    if isinstance(weights, np.ndarray):
+        return weights
+    return np.array([w.coords for w in weights], dtype=np.int64).reshape(-1, g.rank)
+
+
+def _frequencies(g: GroupSpec, weights) -> tuple[np.ndarray, int]:
     """(L, |W|, rank) dual indices of w(lambda + rho) - rho = w lambda + (w rho - rho)
     and the bandwidth max |dual index of w(lambda + rho)|, rounded up."""
     maps, shifts = _weyl_on_indices(g)
-    coords = np.array([w.coords for w in weights], dtype=np.int64).reshape(-1, g.rank)
-    idx = (coords @ maps).reshape(-1, g.weyl_order, g.rank) + shifts
+    idx = (_weight_coords(g, weights) @ maps).reshape(-1, g.weyl_order, g.rank) + shifts
     return idx, (int(np.max(np.abs(2 * idx + dual_index(g, 2.0 * g.rho)), initial=0)) + 1) // 2
 
 
@@ -655,7 +655,7 @@ def _divide_root(q: np.ndarray, a: np.ndarray) -> None:
         q[(i, *dst)] += q[(i + step, *src)]
 
 
-def _spectra(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> tuple:
+def _spectra(g: GroupSpec, coords: np.ndarray, coeffs: np.ndarray) -> tuple:
     """(centre, P, Q) from integer data: the alternating numerator P, c_lambda
     det(w) at idx(w lambda) + idx(w rho - rho), on a box of odd sides about
     ``centre``, and the weight form Q(mu) = sum_lambda c_lambda m_lambda(mu), P
@@ -663,7 +663,7 @@ def _spectra(g: GroupSpec, weights: list[Weight], coeffs: np.ndarray) -> tuple:
     Newton polytope lies in P's), then trimmed to |idx(mu)| <= half = max
     |idx(w lambda)|, symmetric about 0, which drops rounding residue only."""
     shifts = _weyl_on_indices(g)[1]
-    idx = _frequencies(g, weights)[0]
+    idx = _frequencies(g, coords)[0]
     half = np.abs(idx - shifts).max((0, 1), initial=0)
     lo = shifts.min(0) - half
     shape = tuple((shifts.max(0) + half - lo + 1) | 1)
@@ -688,15 +688,16 @@ class CharacterTable:
     (1 - e^{-i alpha(H)}), where its rounding bound eps sum|P| / |den(H)| is below
     eps sum|Q| (= eps f(0) for a heat kernel), that of the weight form sum_mu Q(mu)
     e^{i mu(H)}, which divides by nothing and takes the points on and near walls.
-    ``scale`` = sum |c_lambda| d_lambda bounds the values."""
+    ``weights`` are (L, rank) int64 coordinate rows or ``Weight``s (see
+    ``_weight_coords``).  ``scale`` = sum |c_lambda| d_lambda bounds the values."""
 
-    def __init__(self, g: GroupSpec, weights: list[Weight], coeffs):
+    def __init__(self, g: GroupSpec, weights, coeffs):
         self.group = g
-        self.weights = list(weights)
+        self.coords = _weight_coords(g, weights)
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.scale = float(np.abs(self.coeffs) @ [float(w.dimension) for w in self.weights])
+        self.scale = float(np.abs(self.coeffs) @ g._ints.dimensions(self.coords).astype(float))
         self._to_cell = np.linalg.inv(g.gamma_basis)
-        centre, self._p, self._q = _spectra(g, self.weights, self.coeffs)
+        centre, self._p, self._q = _spectra(g, self.coords, self.coeffs)
         # e^{i shift(H)} recentres P on its box and puts back e^{i rho(H)} of den
         self._shift = TWO_PI * self._to_cell @ centre + g.rho
         self._norms = float(np.abs(self._p).sum()), float(np.abs(self._q).sum())
@@ -793,11 +794,12 @@ def _lattice_scan(g: GroupSpec, centers: np.ndarray, radii: np.ndarray):
     return owner[order], gams[rows[order]], d2[order]
 
 
-def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
-    """All dominant weights with ||lambda + rho||^2 <= cutoff, sorted by that
-    norm (exact ties broken lexicographically by coordinates).  The scan is
-    kept per group and served by prefix, so the cap on its box also caps what
-    a smaller cutoff gets; a larger cutoff rebuilds it."""
+def _weight_rows(g: GroupSpec, cutoff: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coordinates, scaled norms, Weyl dimensions), read-only int64 rows of all
+    dominant weights with ||lambda + rho||^2 <= cutoff, sorted by that norm (exact
+    ties broken lexicographically by coordinates).  The scan is kept per group and
+    served by prefix, so the cap on its box also caps what a smaller cutoff gets;
+    a larger cutoff rebuilds it."""
     if not 0 < cutoff < math.inf:  # NaN fails too
         raise DomainError("cutoff must be positive and finite")
     limit = math.floor(Fraction(cutoff) * g._ints.scale)
@@ -813,8 +815,17 @@ def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
         keep = np.flatnonzero((norms <= limit) & g._ints.dominant(c))
         order = keep[np.lexsort((*c[keep].T[::-1], norms[keep]))]
         c, norms = c[order], norms[order]
-        g._ints.table = table = (limit, norms, _make_weights(g, c, norms))
-    return table[2][: int(np.searchsorted(table[1], limit, side="right"))]
+        g._ints.table = table = (limit, c, norms, g._ints.dimensions(c))
+        for a in table[1:]:
+            a.setflags(write=False)
+    n = int(np.searchsorted(table[2], limit, side="right"))
+    return tuple(a[:n] for a in table[1:])
+
+
+def enumerate_weights(g: GroupSpec, cutoff: float) -> list[Weight]:
+    """All dominant weights with ||lambda + rho||^2 <= cutoff as ``Weight`` objects,
+    sorted like the rows of ``_weight_rows``, which the package reads instead."""
+    return _make_weights(g, _weight_rows(g, cutoff)[0])
 
 
 def lattice_points(g: GroupSpec, center, radius: float) -> np.ndarray:

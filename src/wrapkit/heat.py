@@ -60,15 +60,13 @@ def _heat_coeff_cached(name: str, t: float, shifted: bool, tol: float):
         base = wrap_spectral(g, nu, cutoff)
     except ResourceLimitError as exc:
         raise ResourceLimitError(
-            f"{exc}; for this time scale the wrapped (lattice) evaluator "
-            f"converges in a handful of terms and should be used instead"
+            f"{exc}; at this time scale the wrapped (lattice) evaluator, "
+            f"wrapped_heat_kernel, serves regular points"
         ) from exc
     if shifted:
         return base
     lift = math.exp(g.rho_norm_sq * t / 2)
-    return CentralFunction(
-        g, {w: c * lift for w, c in base.coeffs.items()}, base.cutoff
-    )
+    return CentralFunction._of_rows(g, base.coords, base.values * lift, base.cutoff)
 
 
 def heat_coefficients(
@@ -140,10 +138,7 @@ def semigroup_gap(
     f_t = wrap_spectral(g, RadialFunction.gaussian(g.dim, t), K)
     f_s = wrap_spectral(g, RadialFunction.gaussian(g.dim, s), K)
     conv = convolve_central(f_t, f_s)
-    coeff_gap = max(
-        abs(direct.coeffs[w] - conv.coeffs[w]) for w in direct.coeffs
-    )
-
+    coeff_gap = float(np.max(np.abs(direct.values - conv.values), initial=0.0))
     return coeff_gap, _quadrature_gap(g, f_t, f_s, direct, K, grid_points)
 
 

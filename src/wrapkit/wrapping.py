@@ -26,7 +26,6 @@ Conventions used throughout (fixed once, here and in the README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -47,8 +46,10 @@ from .groups import (
     _as_points,
     _frequencies,
     _lattice_scan,
+    _make_weights,
+    _weight_rows,
     cell_grid,
-    enumerate_weights,
+    enumerate_weights,  # noqa: F401  (auto_cutoff's test patches it here)
     j_compact,
     wall_distance,
     weyl_denominator,
@@ -170,23 +171,45 @@ class _Laplacian(RadialFunction):
 # central functions on the group
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CentralFunction:
-    """Finite character expansion f = sum c_lambda chi_lambda on one group."""
+    """Finite character expansion f = sum c_lambda chi_lambda on one group, held
+    as weight rows: ``coords``, (L, rank) int64 in the order of
+    ``groups._weight_rows`` (by ||lambda + rho||^2, ties by coordinates), and
+    ``values``, the float64 c_lambda of those rows, both read-only.  The
+    constructor takes a ``{Weight: c_lambda}`` dict and sorts it once; ``coeffs``
+    is that dict again, built fresh on each access, so editing it leaves the
+    expansion as it was."""
 
-    group: GroupSpec
-    coeffs: dict[Weight, float]
-    cutoff: float
-    _table: CharacterTable = field(default=None, repr=False, compare=False)
+    def __init__(self, group: GroupSpec, coeffs: dict[Weight, float], cutoff: float):
+        ws = sorted(coeffs, key=lambda w: (w._norm_key, w.coords))
+        self._set(group, np.array([w.coords for w in ws], dtype=np.int64).reshape(-1, group.rank),
+                  np.array([coeffs[w] for w in ws], dtype=float), cutoff)
 
-    def _sorted_weights(self) -> list:
-        return sorted(self.coeffs, key=lambda w: (w._norm_key, w.coords))
+    def _set(self, group: GroupSpec, coords: np.ndarray, values: np.ndarray, cutoff: float):
+        for a in (coords, values):
+            a.setflags(write=False)    # heat_coefficients hands one expansion to every caller
+        self.group, self.coords, self.values, self.cutoff, self._table = (
+            group, coords, values, cutoff, None)
+        return self
+
+    @classmethod
+    def _of_rows(cls, group: GroupSpec, coords: np.ndarray, values: np.ndarray, cutoff: float):
+        """The expansion with weight rows ``coords``, already in order, and ``values``."""
+        return cls.__new__(cls)._set(group, coords, values, cutoff)
+
+    @property
+    def coeffs(self) -> dict[Weight, float]:
+        return dict(zip(_make_weights(self.group, self.coords), self.values.tolist()))
+
+    @property
+    def dimensions(self) -> np.ndarray:
+        """Weyl dimensions d_lambda of the rows, exact int64."""
+        return self.group._ints.dimensions(self.coords)
 
     def table(self) -> CharacterTable:
         """The cached ``CharacterTable`` of this expansion."""
         if self._table is None:
-            ws = self._sorted_weights()
-            self._table = CharacterTable(self.group, ws, [self.coeffs[w] for w in ws])
+            self._table = CharacterTable(self.group, self.coords, self.values)
         return self._table
 
     def evaluate(self, H):
@@ -204,22 +227,24 @@ class CentralFunction:
 
 def convolve_central(a: CentralFunction, b: CentralFunction) -> CentralFunction:
     """Group convolution in coefficients: c_lambda(a) c_lambda(b) / d_lambda
-    on the common support (probability-Haar normalization)."""
+    on the common support (probability-Haar normalization), in a's row order."""
     if a.group.name != b.group.name:
         raise DomainError(f"convolve_central: group mismatch ({a.group.name} vs {b.group.name})")
-    coeffs = {}
-    for w, ca in a.coeffs.items():
-        cb = b.coeffs.get(w)
-        if cb is not None:
-            coeffs[w] = ca * cb / w.dimension
-    return CentralFunction(a.group, coeffs, min(a.cutoff, b.cutoff))
+    row = np.dtype((np.void, 8 * a.group.rank))
+    _, ia, ib = np.intersect1d(*(np.ascontiguousarray(f.coords).view(row) for f in (a, b)),
+                               assume_unique=True, return_indices=True)
+    keep = np.argsort(ia)
+    coords = a.coords[ia[keep]]
+    values = a.values[ia[keep]] * b.values[ib[keep]] / a.group._ints.dimensions(coords)
+    return CentralFunction._of_rows(a.group, coords, values, min(a.cutoff, b.cutoff))
 
 
 def laplacian_spectral(f: CentralFunction) -> CentralFunction:
     """Spectral action of the shifted Laplacian: multiply c_lambda by
     -||lambda+rho||^2."""
-    coeffs = {w: c * -w.lambda_plus_rho_norm_sq for w, c in f.coeffs.items()}
-    return CentralFunction(f.group, coeffs, f.cutoff)
+    ints = f.group._ints
+    return CentralFunction._of_rows(f.group, f.coords,
+                                    f.values * -(ints.norms(f.coords) / ints.scale), f.cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +314,9 @@ def wrap_spectral(g: GroupSpec, nu: RadialFunction, cutoff: float) -> CentralFun
         raise DomainError(
             f"radial function lives on R^{nu.dim}, group {g.name} needs R^{g.dim}"
         )
-    ws = enumerate_weights(g, cutoff)
-    q2 = np.array([w.lambda_plus_rho_norm_sq for w in ws])
-    vals = np.asarray(nu.fourier(q2), dtype=float)
-    coeffs = {w: w.dimension * float(v) for w, v in zip(ws, vals)}
-    return CentralFunction(g, coeffs, float(cutoff))
+    coords, norms, dims = _weight_rows(g, cutoff)
+    vals = dims * np.asarray(nu.fourier(norms / g._ints.scale), dtype=float)
+    return CentralFunction._of_rows(g, coords, vals, float(cutoff))
 
 
 def auto_cutoff(g: GroupSpec, nu: RadialFunction, tol: float) -> float:
@@ -386,10 +409,10 @@ def fourier_coefficients(g: GroupSpec, f, cutoff: float) -> CentralFunction:
     Exact (to rounding) for f band-limited within ``cutoff``; content beyond
     the grid bandwidth aliases as for the trapezoidal rule.
     """
-    ws = enumerate_weights(g, cutoff)
-    if not ws:
+    coords = _weight_rows(g, cutoff)[0]
+    if not len(coords):
         return CentralFunction(g, {}, cutoff)
-    idx, band = _frequencies(g, ws)
+    idx, band = _frequencies(g, coords)
     n = 2 * band + 1  # alias-free for functions band-limited by the cutoff
     grid = cell_grid(g, n)
     den = weyl_denominator(g, grid) * np.exp(-1j * (grid @ g.rho))
@@ -410,8 +433,7 @@ def fourier_coefficients(g: GroupSpec, f, cutoff: float) -> CentralFunction:
         f"fourier_coefficients on {g.name}",
         scale=float(np.max(np.abs(fv))) if len(fv) else 1.0,
     )
-    coeffs = {w: float(v) for w, v in zip(ws, vals)}
-    return CentralFunction(g, coeffs, float(cutoff))
+    return CentralFunction._of_rows(g, coords, vals, float(cutoff))
 
 
 def _quadrature_gap(g: GroupSpec, f1: CentralFunction, f2: CentralFunction,
@@ -434,7 +456,7 @@ def wraplap_check(g: GroupSpec, nu: RadialFunction, cutoff: float) -> float:
     arithmetic for every radial nu."""
     lhs = wrap_spectral(g, nu.laplacian(), cutoff)
     rhs = laplacian_spectral(wrap_spectral(g, nu, cutoff))
-    return max((abs(c - rhs.coeffs[w]) for w, c in lhs.coeffs.items()), default=0.0)
+    return float(np.max(np.abs(lhs.values - rhs.values), initial=0.0))
 
 
 def wrapping_formula_check(
@@ -454,6 +476,5 @@ def wrapping_formula_check(
     f1, f2 = wrap_spectral(g, nu1, cutoff), wrap_spectral(g, nu2, cutoff)
     direct = wrap_spectral(g, nu1.convolve(nu2), cutoff)
     spectral = convolve_central(f1, f2)
-    coeff_gap = max((abs(c - spectral.coeffs[w]) / max(abs(c), 1e-300)
-                     for w, c in direct.coeffs.items()), default=0.0)
-    return coeff_gap, _quadrature_gap(g, f1, f2, direct, cutoff, grid_points)
+    gap = np.abs(direct.values - spectral.values) / np.maximum(np.abs(direct.values), 1e-300)
+    return float(np.max(gap, initial=0.0)), _quadrature_gap(g, f1, f2, direct, cutoff, grid_points)

@@ -127,6 +127,53 @@ def test_su3_weyl_group_frozen_in_permutation_order():
     assert [s for _, s in weyl] == [1, -1, -1, 1, 1, -1]
 
 
+def _fraction_weyl_group(raw):
+    """The Weyl closure as it ran in Fractions: matrices as tuples, products
+    entry by entry, keyed by the tuples themselves."""
+    n = raw.ambient
+
+    def matmul(a, b):
+        return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n) if a[i][k]), Fraction(0))
+                           for j in range(n)) for i in range(n))
+
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    gens = []
+    for a in raw.simple_roots:
+        k = 2 / sum(raw.gram[i] * a[i] * a[i] for i in range(n))
+        gens.append(tuple(tuple(eye[i][j] - k * a[i] * a[j] * raw.gram[j] for j in range(n))
+                          for i in range(n)))
+    signs = {eye: 1}
+    todo = [eye]
+    while todo:
+        m = todo.pop()
+        for s in gens:
+            w = matmul(s, m)
+            if w not in signs:
+                signs[w] = -signs[m]
+                todo.append(w)
+    return tuple(sorted(signs.items(), key=lambda ms: [x for row in ms[0] for x in row],
+                        reverse=True))
+
+
+@pytest.mark.parametrize("name", ["torus1", "torus3", "su2", "so3", "su2xsu2", "su3",
+                                  "su4", "su5"])
+def test_integer_weyl_closure_matches_the_fraction_closure(name, monkeypatch):
+    g = make_group(name)
+    monkeypatch.setattr(groups, "_weyl_group", _fraction_weyl_group)
+    ref = groups._finish(groups._raw_group(name))
+    assert g._weyl_mats.shape == ref._weyl_mats.shape
+    assert np.array_equal(g._weyl_mats.view(np.int64), ref._weyl_mats.view(np.int64))
+    assert np.array_equal(g._weyl_signs.view(np.int64), ref._weyl_signs.view(np.int64))
+
+
+def test_non_integral_simple_reflection_raises():
+    # (1, 2) under the su2 metric diag(2, 2) reflects e_1 to (3/5, -4/5)
+    raw = groups._raw_group("su2")
+    bent = groups.replace(raw, simple_roots=((Fraction(1), Fraction(2)),))
+    with pytest.raises(InstabilityError, match="not integral"):
+        groups._weyl_group(bent)
+
+
 def test_make_group_is_cached_and_validates():
     assert make_group("su2") is make_group("su2")
     with pytest.raises(CatalogError):

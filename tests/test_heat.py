@@ -163,6 +163,31 @@ def test_spectral_small_time_advises_lattice_route():
         spectral_heat_kernel(make_group("su3"), [0.7, 0.3], 1e-4, True, 1e-10)
 
 
+def test_capped_series_names_the_wrapped_route_for_regular_points():
+    # the wrapped route serves regular points only, so the cap message may not
+    # send every short-time caller there
+    with pytest.raises(ResourceLimitError) as info:
+        heat_coefficients(make_group("su4"), 0.1)
+    assert "cap 200000" in str(info.value)
+    assert "wrapped_heat_kernel, serves regular points" in str(info.value)
+    assert "instead" not in str(info.value)
+
+
+def test_clearing_the_coeffs_view_leaves_the_cached_expansion_alone():
+    su2 = make_group("su2")
+    pts = np.vstack([alcove_points(su2, 8), np.zeros((1, 1))])
+    f = heat_coefficients(su2, 0.37)
+    n = len(f.coeffs)
+    f.coeffs.clear()
+    assert len(f.coeffs) == n > 3
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+    assert heat_coefficients(su2, 0.37) is f
+    np.testing.assert_array_equal(f.evaluate(pts), spectral_heat_kernel(su2, pts, 0.37))
+    np.testing.assert_array_equal(
+        f.evaluate(pts), CentralFunction(su2, f.coeffs, f.cutoff).evaluate(pts))
+
+
 def test_semigroup_property():
     su2 = make_group("su2")
     coeff_gap, quad_gap = semigroup_gap(su2, 0.5, 0.5)

@@ -6,7 +6,10 @@ checked through identities that hold in exact arithmetic.
 """
 
 import ast
+import contextlib
+import functools
 import inspect
+import io
 import math
 import os
 import subprocess
@@ -15,10 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import wrapkit
+from wrapkit import cli
 from wrapkit import (
+    CentralFunction,
+    CharacterTable,
     ContractError,
     DomainError,
     InstabilityError,
@@ -26,12 +33,15 @@ from wrapkit import (
     ResourceLimitError,
     SingularityError,
     alcove_points,
+    as_real_checked,
     auto_cutoff,
     convolve_central,
+    enumerate_weights,
     fourier_coefficients,
     j_compact,
     laplacian_spectral,
     make_group,
+    semigroup_gap,
     spectral_heat_kernel,
     wall_distance,
     weight,
@@ -479,3 +489,145 @@ def test_wrapped_heat_kernel_builds_one_box_per_call(monkeypatch):
     tree = ast.parse(inspect.getsource(wrapkit.heat.wrapped_heat_kernel))
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+
+
+# ---------------------------------------------------------------------------
+# weight rows against the Weight-object path
+# ---------------------------------------------------------------------------
+
+def object_expansion(g, nu, cutoff):
+    """wrap_spectral as it ran on Weight objects: {Weight: d_lambda nu_hat}."""
+    ws = enumerate_weights(g, cutoff)
+    vals = nu.fourier(np.array([w.lambda_plus_rho_norm_sq for w in ws]))
+    return {w: w.dimension * float(v) for w, v in zip(ws, vals)}
+
+
+def object_values(g, coeffs, pts):
+    """CentralFunction.evaluate as it ran: the dict sorted by (scaled norm,
+    coordinates) into a CharacterTable of Weight objects."""
+    ws = sorted(coeffs, key=lambda w: (w._norm_key, w.coords))
+    table = CharacterTable(g, ws, [coeffs[w] for w in ws])
+    return as_real_checked(np.atleast_1d(table.values(pts)), "reference", scale=table.scale)
+
+
+def object_convolve(a, b):
+    return {w: ca * b[w] / w.dimension for w, ca in a.items() if w in b}
+
+
+def object_quad_gap(g, f1, f2, direct, cutoff, grid_points):
+    via = object_convolve(*(fourier_coefficients(g, CentralFunction(g, f, cutoff), cutoff).coeffs
+                            for f in (f1, f2)))
+    pts = alcove_points(g, grid_points)
+    return float(np.max(np.abs(object_values(g, via, pts) - object_values(g, direct, pts))))
+
+
+def object_wraplap(g, nu, cutoff):
+    lhs = object_expansion(g, nu.laplacian(), cutoff)
+    rhs = {w: c * -w.lambda_plus_rho_norm_sq for w, c in object_expansion(g, nu, cutoff).items()}
+    return max((abs(c - rhs[w]) for w, c in lhs.items()), default=0.0)
+
+
+def object_semigroup_gap(g, t, s, grid_points=16, tol=1e-9):
+    K = auto_cutoff(g, RadialFunction.gaussian(g.dim, t + s), tol)
+    direct, f_t, f_s = (object_expansion(g, RadialFunction.gaussian(g.dim, x), K)
+                        for x in (t + s, t, s))
+    conv = object_convolve(f_t, f_s)
+    return (max(abs(direct[w] - conv[w]) for w in direct),
+            object_quad_gap(g, f_t, f_s, direct, K, grid_points))
+
+
+def object_wrapping_formula_check(g, nu1, nu2, cutoff, grid_points=32):
+    f1, f2 = object_expansion(g, nu1, cutoff), object_expansion(g, nu2, cutoff)
+    direct = object_expansion(g, nu1.convolve(nu2), cutoff)
+    spectral = object_convolve(f1, f2)
+    gap = max((abs(c - spectral[w]) / max(abs(c), 1e-300) for w, c in direct.items()),
+              default=0.0)
+    return gap, object_quad_gap(g, f1, f2, direct, cutoff, grid_points)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize("name", GROUPS)
+def test_weight_rows_keep_the_object_path_bits(name, t):
+    g = make_group(name)
+    nu = RadialFunction.gaussian(g.dim, t)
+    cutoff = auto_cutoff(g, nu, 1e-10)
+    pts = np.vstack([alcove_points(g, 20), np.zeros((1, g.rank))])
+    assert same_bits(spectral_heat_kernel(g, pts, t),
+                     object_values(g, object_expansion(g, nu, cutoff), pts))
+    assert same_bits(wraplap_check(g, nu, cutoff), object_wraplap(g, nu, cutoff))
+    assert same_bits(semigroup_gap(g, t, 0.5), object_semigroup_gap(g, t, 0.5))
+    nu2 = RadialFunction.mixture(g.dim, [(0.5, 0.5), (0.5, 0.9)])
+    cutoff = max(cutoff, auto_cutoff(g, nu2, 1e-10))
+    assert same_bits(wrapping_formula_check(g, nu, nu2, cutoff, 16),
+                     object_wrapping_formula_check(g, nu, nu2, cutoff, 16))
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=st.sampled_from(GROUPS), t=st.floats(0.2, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_a_dict_in_any_insertion_order_builds_the_rows_of_the_scan(name, t, seed):
+    g = make_group(name)
+    rows = wrap_spectral(g, RadialFunction.gaussian(g.dim, t), 12.0)
+    items = list(rows.coeffs.items())
+    order = np.random.default_rng(seed).permutation(len(items))
+    built = CentralFunction(g, {items[i][0]: items[i][1] for i in order}, rows.cutoff)
+    assert built.coords.dtype == np.int64
+    assert np.array_equal(built.coords, rows.coords)
+    assert same_bits(built.values, rows.values)
+    assert same_bits(built.table()._p, rows.table()._p)
+    assert same_bits(built.table()._q, rows.table()._q)
+    pts = np.vstack([alcove_points(g, 7), np.zeros((1, g.rank))])
+    assert same_bits(built.evaluate(pts), rows.evaluate(pts))
+    # the common support of two random subsets, in the left operand's order
+    rng = np.random.default_rng(seed + 1)
+    left, right = ({w: c for w, c in items if rng.random() < 0.6} for _ in range(2))
+    conv = convolve_central(CentralFunction(g, left, 12.0), CentralFunction(g, right, 12.0))
+    expected = object_convolve(left, right)
+    assert conv.coeffs == expected
+    assert np.array_equal(conv.coords, CentralFunction(g, expected, 12.0).coords)
+
+
+def test_cli_checks_build_no_weight_objects(monkeypatch):
+    made = []
+    init = wrapkit.groups.Weight.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(wrapkit.groups.Weight, "__init__", spy)
+    # start cold: no weight table and no cached heat expansion
+    cached = wrapkit.heat._heat_coeff_cached
+    monkeypatch.setattr(wrapkit.heat, "_heat_coeff_cached",
+                        functools.lru_cache(maxsize=256)(cached.__wrapped__))
+    for name in ("su2xsu2", "torus2"):
+        monkeypatch.setattr(make_group(name)._ints, "table", None)
+    weight(make_group("su2"), (1,))
+    assert len(made) == 1   # the spy sees every construction
+    made.clear()
+    for name in ("su2xsu2", "torus2"):
+        for argv in (["poisson-check", "--t", "0.1"], ["wraplap-check", "--t", "0.1"],
+                     ["semigroup-check", "--t", "0.1"], ["wrap", "--mixture", "1:0.1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--group", name]) == 0
+    assert made == []
+
+
+def test_empty_expansions():
+    su2 = make_group("su2")
+    below = 0.2          # under ||rho||^2 = 1/4, the norm of the first weight
+    f = fourier_coefficients(su2, lambda H: np.ones(len(H)), below)
+    assert f.coeffs == {} and f.coords.shape == (0, 1) and f.values.shape == (0,)
+    pts = alcove_points(su2, 5)
+    a = CentralFunction(su2, {weight(su2, (0,)): 1.0}, 4.0)
+    b = CentralFunction(su2, {weight(su2, (1,)): 2.0}, 4.0)
+    disjoint = convolve_central(a, b)
+    assert disjoint.coeffs == {} and disjoint.coords.shape == (0, 1)
+    assert np.array_equal(disjoint.evaluate(pts), np.zeros(len(pts)))
+    nu = RadialFunction.gaussian(3, 0.5)
+    assert wraplap_check(su2, nu, below) == 0.0
+    assert wrapping_formula_check(su2, nu, nu, below) == (0.0, 0.0)
+    # at t + s = 200 the proved cutoff falls under the first weight
+    assert auto_cutoff(su2, RadialFunction.gaussian(3, 200.0), 1e-9) < 0.25
+    assert semigroup_gap(su2, 100.0, 100.0) == (0.0, 0.0)
+    with pytest.raises(DomainError, match="mismatch"):
+        convolve_central(a, CentralFunction(make_group("torus1"), {}, 4.0))
